@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build lint test race fuzz-short experiments-smoke obs-smoke report-smoke bench-smoke bench-snapshot serve-smoke telemetry-smoke
+.PHONY: all build lint test race soak fuzz-short experiments-smoke obs-smoke report-smoke bench-smoke bench-snapshot serve-smoke telemetry-smoke
 
 all: build lint test
 
@@ -26,6 +26,12 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# Matches the CI soak step: the service chaos soak five times under the
+# race detector, so a contract violation that fails one run in a few
+# cannot pass on a lucky run.
+soak:
+	$(GO) test -race -count=5 -run TestServiceSoak ./internal/serve
 
 # Matches the CI fuzz job budgets.
 fuzz-short:

@@ -1,6 +1,6 @@
 // Command heliosd serves the simulation engine as a long-running
 // HTTP+JSON service with a robustness-first envelope: content-addressed
-// result caching, micro-batched record phases, a bounded admission
+// result caching with in-flight deduplication, a bounded admission
 // queue with typed 429s, per-request deadlines, panic isolation,
 // graceful degradation of corrupt cached recordings, and a clean
 // SIGTERM drain.
@@ -8,7 +8,7 @@
 // Usage:
 //
 //	heliosd -addr :8080
-//	heliosd -addr :8080 -queue 32 -deadline 15s -batch-size 16
+//	heliosd -addr :8080 -queue 32 -deadline 15s -insts 100000
 //	heliosd -addr :8080 -manifest-dir /var/lib/helios/manifests
 //	heliosd -addr :8080 -sample -cache-dir /var/lib/helios/cache
 //
@@ -52,8 +52,6 @@ func main() {
 		deadline    = flag.Duration("deadline", def.DefaultDeadline, "default per-request deadline when the client sends none")
 		maxDeadline = flag.Duration("max-deadline", def.MaxDeadline, "clamp on client-supplied deadlines")
 		drain       = flag.Duration("drain", 30*time.Second, "graceful-drain budget after SIGTERM")
-		batchSize   = flag.Int("batch-size", def.MaxBatch, "micro-batch cut size (requests sharing one record phase)")
-		batchWait   = flag.Duration("batch-latency", def.BatchWait, "micro-batch cut latency (wait for co-batchable requests)")
 		maxBody     = flag.Int64("max-body", def.MaxBodyBytes, "request body byte limit (typed 413 beyond)")
 		insts       = flag.Uint64("insts", 0, "default instruction budget (0 = each workload's own)")
 		workers     = flag.Int("workers", 0, "suite-endpoint scheduler workers (0 = GOMAXPROCS)")
@@ -83,8 +81,6 @@ func main() {
 		MaxDeadline:     *maxDeadline,
 		RetryAfter:      *retryAfter,
 		MaxBodyBytes:    *maxBody,
-		MaxBatch:        *batchSize,
-		BatchWait:       *batchWait,
 		DefaultInsts:    *insts,
 		SuiteWorkers:    *workers,
 		ManifestDir:     *manifestDir,
@@ -143,21 +139,17 @@ func run(addr string, drainBudget time.Duration, cfg serve.Config) error {
 		}
 	}
 
-	// Root context: cancelled on the first SIGTERM/SIGINT. The server's
-	// background work (batch record phases) hangs off a separate context
-	// so in-flight batches survive into the drain window.
+	// Cancelled on the first SIGTERM/SIGINT, which starts the drain.
 	sigCtx, stop := signal.NotifyContext(context.Background(), syscall.SIGTERM, syscall.SIGINT)
 	defer stop()
-	srvCtx, srvCancel := context.WithCancel(context.Background())
-	defer srvCancel()
 
-	s := serve.New(srvCtx, cfg)
+	s := serve.New(context.Background(), cfg)
 	httpSrv := &http.Server{Addr: addr, Handler: s.Handler()}
 
 	errc := make(chan error, 1)
 	go func() { errc <- httpSrv.ListenAndServe() }()
-	logf("heliosd %s listening on %s (queue=%d deadline=%s batch=%d/%s)",
-		core.EngineVersion(), addr, cfg.QueueDepth, cfg.DefaultDeadline, cfg.MaxBatch, cfg.BatchWait)
+	logf("heliosd %s listening on %s (queue=%d deadline=%s)",
+		core.EngineVersion(), addr, cfg.QueueDepth, cfg.DefaultDeadline)
 
 	select {
 	case err := <-errc:
@@ -173,7 +165,6 @@ func run(addr string, drainBudget time.Duration, cfg serve.Config) error {
 	if err := httpSrv.Shutdown(dctx); err != nil && !errors.Is(err, context.DeadlineExceeded) {
 		logf("http shutdown: %v", err)
 	}
-	srvCancel() // now stop background batch work
 	if drainErr != nil {
 		return fmt.Errorf("drain: %w", drainErr)
 	}

@@ -201,34 +201,32 @@ func (m Metrics) WallRows() [][2]string {
 	return rows
 }
 
-// Suite runs and caches simulations across workloads and modes, fanning
-// out across CPUs. Each workload is functionally emulated exactly once
-// per instruction budget; every mode replays the recording. The zero
-// value is not usable; use NewSuite.
+// Suite runs and caches simulations across workloads and machine
+// configurations, fanning out across CPUs. Each workload is functionally
+// emulated exactly once per instruction budget; every configuration
+// replays the recording. Two singleflight memos (memo.go) hold the
+// recordings and the results, so concurrent identical requests share one
+// computation. The zero value is not usable; use NewSuite.
 type Suite struct {
 	MaxInsts uint64 // per-run instruction budget (0 = workload default)
 
-	mu        sync.Mutex
-	cache     map[suiteKey]*Result
-	errs      map[suiteKey]error
-	resFlight map[suiteKey]chan struct{}
+	recordings *memo[traceKey, recording]
+	results    *memo[suiteKey, *Result]
 
-	traces      map[traceKey]*traceEntry
-	traceFlight map[traceKey]chan struct{}
-
+	mu      sync.Mutex
 	metrics Metrics
 }
 
 // suiteKey identifies one cached Result. It carries everything the
-// result depends on: the workload, the fusion mode, the resolved
-// instruction budget and the engine version — so a budget change (or a
-// result produced by a different engine build) can never be served as a
-// hit for the current request.
+// result depends on within one process: the workload, the full machine
+// configuration and the resolved instruction budget — so a budget or
+// machine change can never be served a stale result, and default and
+// custom machines share one cache. Obs is nil in every key: observed
+// runs bypass the memo.
 type suiteKey struct {
 	workload string
-	mode     fusion.Mode
+	cfg      ooo.Config
 	budget   uint64
-	engine   string
 }
 
 type traceKey struct {
@@ -236,9 +234,9 @@ type traceKey struct {
 	maxInsts uint64
 }
 
-type traceEntry struct {
+// recording is one entry of the recordings memo.
+type recording struct {
 	rec *trace.Recording
-	err error
 	// repaired marks a recording produced by the live-fallback path: if
 	// it still fails to replay, the failure is real and must surface.
 	repaired bool
@@ -247,12 +245,9 @@ type traceEntry struct {
 // NewSuite creates a result cache with the given per-run budget.
 func NewSuite(maxInsts uint64) *Suite {
 	return &Suite{
-		MaxInsts:    maxInsts,
-		cache:       make(map[suiteKey]*Result),
-		errs:        make(map[suiteKey]error),
-		resFlight:   make(map[suiteKey]chan struct{}),
-		traces:      make(map[traceKey]*traceEntry),
-		traceFlight: make(map[traceKey]chan struct{}),
+		MaxInsts:   maxInsts,
+		recordings: newMemo[traceKey, recording](),
+		results:    newMemo[suiteKey, *Result](),
 	}
 }
 
@@ -266,21 +261,26 @@ func (s *Suite) Metrics() Metrics {
 }
 
 // CacheSnapshot returns the cached result keys as sorted
-// "workload/mode@budget" strings. The result cache is map-keyed, so the
-// iteration here is explicitly sorted — `experiments -metrics` output
-// and crash-dump context must be byte-stable across identical runs.
-// The engine component is omitted: within one process it is constant.
+// "workload/mode@budget" strings, with "+custom" after the mode for a
+// machine other than that mode's default. The memo is map-keyed, so the
+// result is explicitly sorted — `experiments -metrics` output and
+// crash-dump context must be byte-stable across identical runs.
 func (s *Suite) CacheSnapshot() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	keys := make([]string, 0, len(s.cache))
-	//helios:nondeterminism-ok keys are sorted below before being returned
-	for k := range s.cache {
-		keys = append(keys, fmt.Sprintf("%s/%s@%d", k.workload, k.mode, k.budget))
+	keys := s.results.keys()
+	out := make([]string, 0, len(keys))
+	for _, k := range keys {
+		mode := k.cfg.Mode.String()
+		if k.cfg != ooo.DefaultConfig(k.cfg.Mode) {
+			mode += "+custom"
+		}
+		out = append(out, fmt.Sprintf("%s/%s@%d", k.workload, mode, k.budget))
 	}
-	sort.Strings(keys)
-	return keys
+	sort.Strings(out)
+	return out
 }
+
+// CachedResults returns how many results the suite holds.
+func (s *Suite) CachedResults() int { return s.results.size() }
 
 // budget returns the effective per-run instruction bound for w.
 func (s *Suite) budget(w workloads.Workload) uint64 {
@@ -290,14 +290,22 @@ func (s *Suite) budget(w workloads.Workload) uint64 {
 	return w.MaxInsts
 }
 
-// SeedRecording pre-populates the trace cache with an externally
-// produced recording (e.g. loaded from a trace file), keyed by its Name
-// and MaxInsts. Replays will use it instead of emulating — and if it
-// turns out to be corrupt, the live-fallback path replaces it.
+// SeedRecording installs an externally produced recording (e.g. loaded
+// from a trace file) under its Name and MaxInsts, unless the suite
+// already holds or is producing one for that key. Replays will use it
+// instead of emulating — and if it turns out to be corrupt, the
+// live-fallback path replaces it.
 func (s *Suite) SeedRecording(rec *trace.Recording) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.traces[traceKey{rec.Name, rec.MaxInsts}] = &traceEntry{rec: rec}
+	s.recordings.install(traceKey{rec.Name, rec.MaxInsts}, recording{rec: rec})
+}
+
+// SeedResult installs a result computed elsewhere — heliosd's warm start
+// from its manifest directory — for (name, cfg, budget), unless the
+// suite already holds or is computing that key. budget must be the
+// resolved, non-zero budget. It reports whether the result was
+// installed.
+func (s *Suite) SeedResult(name string, cfg ooo.Config, budget uint64, r *Result) bool {
+	return s.results.install(suiteKey{name, cfg, budget}, r)
 }
 
 // Get returns the (cached) result for one workload/mode pair at the
@@ -314,82 +322,75 @@ func (s *Suite) Get(ctx context.Context, name string, mode fusion.Mode) (*Result
 // mixed-budget traffic — heliosd's request path — without any risk of a
 // budget change returning a stale result.
 func (s *Suite) GetBudget(ctx context.Context, name string, mode fusion.Mode, budget uint64) (*Result, error) {
-	w, ok := workloads.ByName(name)
-	if !ok {
-		return nil, fmt.Errorf("core: unknown workload %q", name)
-	}
-	if budget == 0 {
-		budget = s.budget(w)
-	}
-	key := suiteKey{name, mode, budget, engineVersion}
-	s.mu.Lock()
-	for {
-		if r, ok := s.cache[key]; ok {
-			err := s.errs[key]
-			s.mu.Unlock()
-			return r, err
-		}
-		ch, inflight := s.resFlight[key]
-		if !inflight {
-			break
-		}
-		s.metrics.DedupedRuns++
-		s.mu.Unlock()
-		select {
-		case <-ch:
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
-		s.mu.Lock()
-	}
-	ch := make(chan struct{})
-	s.resFlight[key] = ch
-	s.mu.Unlock()
+	return s.ReplayConfig(ctx, name, ooo.DefaultConfig(mode), budget)
+}
 
-	r, err := s.run(ctx, w, mode, budget)
-
-	s.mu.Lock()
-	if !isCtxErr(err) {
-		s.cache[key] = r
-		s.errs[key] = err
-	}
-	delete(s.resFlight, key)
-	s.mu.Unlock()
-	close(ch)
+// ReplayConfig is GetBudget with an explicit machine configuration.
+// Results are cached by (workload, cfg, budget), so default and custom
+// machines share one cache, one record-once trace and one degrade path:
+// a recording that fails to replay is re-emulated live exactly once.
+// cfg.Obs must be nil; observed runs go through ObserveReplayConfig.
+func (s *Suite) ReplayConfig(ctx context.Context, name string, cfg ooo.Config, budget uint64) (*Result, error) {
+	r, _, _, err := s.ReplayCached(ctx, name, cfg, budget)
 	return r, err
 }
 
-// run performs one uncached simulation: fetch (or make) the workload's
-// recording, replay it through the pipeline under the given mode, and on
-// a replay failure degrade to one live re-emulation.
-func (s *Suite) run(ctx context.Context, w workloads.Workload, mode fusion.Mode, budget uint64) (*Result, error) {
-	rec, err := s.recording(ctx, w, budget)
-	if err != nil {
-		return nil, err
-	}
-	return s.replayDegrade(ctx, w, ooo.DefaultConfig(mode), rec, budget)
-}
-
-// ReplayConfig replays the workload's shared recording under an explicit
-// machine configuration, with the same graceful degradation as Get: a
-// recording that fails to replay is re-emulated live exactly once. The
-// result is never cached here — custom configurations are open-ended, so
-// caching is the caller's job (heliosd keys them by content hash) — but
-// the record-once trace and its repair path are fully shared with the
-// default-config traffic.
-func (s *Suite) ReplayConfig(ctx context.Context, name string, cfg ooo.Config, budget uint64) (*Result, error) {
+// ReplayCached is ReplayConfig that also reports how the cache answered:
+// hit means the result was already stored, coalesced that the call
+// waited on an identical computation in flight. The computation runs on
+// the calling goroutine under ctx; if ctx ends it, a waiting caller
+// takes over under its own context. Every span opened here lands on the
+// lane ctx carries (telemetry.WithLane): cache_read over the lookup and
+// any wait, then on a miss record, replay and cache_write.
+func (s *Suite) ReplayCached(ctx context.Context, name string, cfg ooo.Config, budget uint64) (r *Result, hit, coalesced bool, err error) {
 	w, ok := workloads.ByName(name)
 	if !ok {
-		return nil, fmt.Errorf("core: unknown workload %q", name)
+		return nil, false, false, fmt.Errorf("core: unknown workload %q", name)
 	}
 	if budget == 0 {
 		budget = s.budget(w)
 	}
+	key := suiteKey{name, cfg, budget}
+	rd := telemetry.StartSpan(ctx, "cache_read")
+	e, lead, coalesced, err := s.results.claim(ctx, key)
+	rd.SetBool("hit", !lead && err == nil)
+	rd.SetBool("coalesced", coalesced)
+	rd.End()
+	if coalesced {
+		s.mu.Lock()
+		s.metrics.DedupedRuns++
+		s.mu.Unlock()
+	}
+	if err != nil {
+		return nil, false, coalesced, err
+	}
+	if !lead {
+		return e.val, !coalesced, coalesced, e.err
+	}
+	r, err = s.run(ctx, w, cfg, budget)
+	wr := telemetry.StartSpan(ctx, "cache_write")
+	wr.SetBool("stored", s.results.settle(key, r, err))
+	wr.End()
+	return r, false, coalesced, err
+}
+
+// run performs one uncached simulation: fetch (or make) the workload's
+// recording, replay it through the pipeline under cfg, and on a replay
+// failure degrade to one live re-emulation.
+func (s *Suite) run(ctx context.Context, w workloads.Workload, cfg ooo.Config, budget uint64) (*Result, error) {
+	sp := telemetry.StartSpan(ctx, "record")
 	rec, err := s.recording(ctx, w, budget)
+	sp.SetBool("err", err != nil)
+	sp.End()
 	if err != nil {
 		return nil, err
 	}
-	return s.replayDegrade(ctx, w, cfg, rec, budget)
+	sp = telemetry.StartSpan(ctx, "replay")
+	sp.SetBool("custom", cfg != ooo.DefaultConfig(cfg.Mode))
+	r, err := s.replayDegrade(ctx, w, cfg, rec, budget)
+	sp.SetBool("err", err != nil)
+	sp.End()
+	return r, err
 }
 
 // replayDegrade is the replay half of one simulation: run the recording
@@ -406,7 +407,7 @@ func (s *Suite) replayDegrade(ctx context.Context, w workloads.Workload, cfg ooo
 	// — rare enough that heliosd's tail sampler boosts traces carrying it
 	// (sampling.SpanBoost), so /tracez keeps evidence of degradations
 	// even under heavy healthy traffic.
-	sp := telemetry.FromContext(ctx).Start("degrade")
+	sp := telemetry.StartSpan(ctx, "degrade")
 	sp.SetAttr("workload", w.Name)
 	fresh, ferr := s.repairRecording(ctx, w, budget, rec)
 	if ferr != nil {
@@ -468,13 +469,7 @@ func (s *Suite) ObserveReplayConfig(ctx context.Context, name string, cfg ooo.Co
 		return nil, err
 	}
 	cfg.Obs = ob
-	start := time.Now() //helios:nondeterminism-ok wall-time metrics only; simulated results never read it
-	r, err := RunSource(ctx, name, cfg, rec.Replay(), budget)
-	s.mu.Lock()
-	s.metrics.Replays++
-	s.metrics.PipelineRuns++
-	s.metrics.SimTime += time.Since(start)
-	s.mu.Unlock()
+	r, err := s.replay(ctx, name, cfg, rec, budget)
 	if err != nil {
 		return r, err
 	}
@@ -492,10 +487,7 @@ func (s *Suite) Recording(ctx context.Context, name string) (*trace.Recording, e
 }
 
 // RecordingBudget is Recording with an explicit instruction budget
-// (0 = the suite's budget). heliosd's micro-batcher uses it as the
-// batch's single record phase: one call under the server's root context
-// materializes the trace, and every request in the batch then replays a
-// guaranteed warm recording under its own deadline.
+// (0 = the suite's budget).
 func (s *Suite) RecordingBudget(ctx context.Context, name string, budget uint64) (*trace.Recording, error) {
 	w, ok := workloads.ByName(name)
 	if !ok {
@@ -512,41 +504,24 @@ func (s *Suite) RecordingBudget(ctx context.Context, name string, budget uint64)
 // A context failure during emulation is returned but not cached.
 func (s *Suite) recording(ctx context.Context, w workloads.Workload, budget uint64) (*trace.Recording, error) {
 	key := traceKey{w.Name, budget}
-	s.mu.Lock()
-	for {
-		if e, ok := s.traces[key]; ok {
-			s.metrics.TraceHits++
-			s.mu.Unlock()
-			return e.rec, e.err
-		}
-		ch, inflight := s.traceFlight[key]
-		if !inflight {
-			break
-		}
-		s.mu.Unlock()
-		select {
-		case <-ch:
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
-		s.mu.Lock()
+	e, lead, _, err := s.recordings.claim(ctx, key)
+	if err != nil {
+		return nil, err
 	}
-	ch := make(chan struct{})
-	s.traceFlight[key] = ch
-	s.metrics.TraceMisses++
-	s.mu.Unlock()
+	if !lead {
+		s.mu.Lock()
+		s.metrics.TraceHits++
+		s.mu.Unlock()
+		return e.val.rec, e.err
+	}
 
 	start := time.Now() //helios:nondeterminism-ok wall-time metrics only; simulated results never read it
 	rec, err := s.emulate(ctx, w, budget)
-
+	s.recordings.settle(key, recording{rec: rec}, err)
 	s.mu.Lock()
-	if !isCtxErr(err) {
-		s.traces[key] = &traceEntry{rec: rec, err: err}
-	}
+	s.metrics.TraceMisses++
 	s.metrics.EmuTime += time.Since(start)
-	delete(s.traceFlight, key)
 	s.mu.Unlock()
-	close(ch)
 	return rec, err
 }
 
@@ -569,50 +544,29 @@ func (s *Suite) emulate(ctx context.Context, w workloads.Workload, budget uint64
 // that failed to replay with one fresh live emulation. At most one
 // repair happens per trace key — if the repaired recording also fails,
 // callers surface the failure. bad is the recording the caller just
-// watched fail, so a concurrent repair is detected and reused.
+// watched fail, so a concurrent repair is detected and reused. A repair
+// cut short by its context keeps bad in place, so a later call retries.
 func (s *Suite) repairRecording(ctx context.Context, w workloads.Workload, budget uint64, bad *trace.Recording) (*trace.Recording, error) {
 	key := traceKey{w.Name, budget}
-	s.mu.Lock()
-	for {
-		e := s.traces[key]
-		if e != nil && (e.rec != bad || e.repaired) {
-			// Someone already repaired (or the caller replayed the
-			// repaired recording): hand it back as-is.
-			s.mu.Unlock()
-			return e.rec, e.err
-		}
-		ch, inflight := s.traceFlight[key]
-		if !inflight {
-			break
-		}
-		s.mu.Unlock()
-		select {
-		case <-ch:
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
-		s.mu.Lock()
+	e, lead, _, err := s.recordings.replace(ctx, key, recording{rec: bad})
+	if err != nil {
+		return nil, err
 	}
-	ch := make(chan struct{})
-	s.traceFlight[key] = ch
-	s.metrics.LiveFallbacks++
-	s.mu.Unlock()
+	if !lead {
+		// Someone already repaired (or the caller replayed the
+		// repaired recording): hand it back as-is.
+		return e.val.rec, e.err
+	}
 
 	start := time.Now() //helios:nondeterminism-ok wall-time metrics only; simulated results never read it
 	rec, err := s.emulate(ctx, w, budget)
-
+	s.recordings.settle(key, recording{rec: rec, repaired: true}, err)
 	s.mu.Lock()
-	if isCtxErr(err) {
-		// Keep the old (bad) entry so a later Get can retry the repair.
-		s.traces[key] = &traceEntry{rec: bad}
-		s.metrics.LiveFallbacks--
-	} else {
-		s.traces[key] = &traceEntry{rec: rec, err: err, repaired: true}
+	if !isCtxErr(err) {
+		s.metrics.LiveFallbacks++
 	}
 	s.metrics.EmuTime += time.Since(start)
-	delete(s.traceFlight, key)
 	s.mu.Unlock()
-	close(ch)
 	return rec, err
 }
 

@@ -68,7 +68,7 @@ func TestRepairedRecordingFailureSurfaces(t *testing.T) {
 	const budget = 20_000
 	s := NewSuite(budget)
 	bad := corruptRecording("crc32", budget)
-	s.traces[traceKey{"crc32", budget}] = &traceEntry{rec: bad, repaired: true}
+	s.recordings.install(traceKey{"crc32", budget}, recording{rec: bad, repaired: true})
 
 	_, err := s.Get(context.Background(), "crc32", fusion.ModeNoFusion)
 	if err == nil {

@@ -10,9 +10,9 @@ import (
 )
 
 // TestGetBudgetKeysResultsByBudget pins the cache-key contract: results
-// are keyed by (workload, mode, budget, engine), so two budgets for the
-// same workload/mode are distinct entries and a budget change can never
-// be served from a stale result.
+// are keyed by (workload, machine config, budget), so two budgets for
+// the same workload/mode are distinct entries and a budget change can
+// never be served from a stale result.
 func TestGetBudgetKeysResultsByBudget(t *testing.T) {
 	ctx := context.Background()
 	s := NewSuite(0)
@@ -68,8 +68,9 @@ func TestSuiteBudgetChangeNeverStale(t *testing.T) {
 	}
 }
 
-// TestEngineVersionShape: the engine identity every cache key embeds
-// must carry the semantic schema; the VCS suffix is build-dependent.
+// TestEngineVersionShape: the engine identity every persistent result
+// key embeds must carry the semantic schema; the VCS suffix is
+// build-dependent.
 func TestEngineVersionShape(t *testing.T) {
 	v := EngineVersion()
 	if !strings.HasPrefix(v, "helios-engine/") {
@@ -90,7 +91,7 @@ func TestReplayConfigDegradesCorruptRecording(t *testing.T) {
 	s.SeedRecording(corruptRecording("crc32", budget))
 
 	cfg := ooo.DefaultConfig(fusion.ModeHelios)
-	cfg.ROBSize = 64 // a non-default machine: bypasses the Get cache path
+	cfg.ROBSize = 64 // a non-default machine
 	r, err := s.ReplayConfig(context.Background(), "crc32", cfg, budget)
 	if err != nil {
 		t.Fatalf("ReplayConfig did not degrade a corrupt recording: %v", err)

@@ -64,13 +64,14 @@ func (s *Suite) RunCells(ctx context.Context, cells []Cell, workers int) []CellR
 	start := time.Now() //helios:nondeterminism-ok wall-time metrics only; simulated results never read it
 
 	// When the caller's context carries a telemetry trace (heliosd suite
-	// requests, `experiments -trace`), every cell opens a span on lane
-	// 1+worker — the per-worker lanes render as a scheduler utilization
-	// timeline in Perfetto. With no trace attached tr is nil and every
-	// span call is a zero-allocation no-op, preserving the scheduler's
-	// hot-path budget. Span wall times live outside the deterministic
-	// Metrics surface (DESIGN.md §16's quarantine rule).
-	tr := telemetry.FromContext(ctx)
+	// requests, `experiments -trace`), each worker runs on lane 1+worker:
+	// its cell spans, and every span Suite opens inside a cell, land
+	// there and nest under the cell — the per-worker lanes render as a
+	// scheduler utilization timeline in Perfetto. With no trace attached
+	// WithLane returns ctx unchanged and every span call is a
+	// zero-allocation no-op, preserving the scheduler's hot-path budget.
+	// Span wall times live outside the deterministic Metrics surface
+	// (DESIGN.md §16's quarantine rule).
 	var cursor atomic.Int64
 	cursor.Store(-1)
 	var wg sync.WaitGroup
@@ -78,6 +79,7 @@ func (s *Suite) RunCells(ctx context.Context, cells []Cell, workers int) []CellR
 		wg.Add(1)
 		go func(worker int) {
 			defer wg.Done()
+			wctx := telemetry.WithLane(ctx, 1+worker)
 			for {
 				i := int(cursor.Add(1))
 				if i >= len(cells) {
@@ -88,11 +90,11 @@ func (s *Suite) RunCells(ctx context.Context, cells []Cell, workers int) []CellR
 					out[i] = CellResult{Cell: c, Err: err}
 					continue
 				}
-				sp := tr.StartLane("cell", 1+worker)
+				sp := telemetry.StartSpan(wctx, "cell")
 				sp.SetAttr("workload", c.Workload)
 				sp.SetAttr("mode", c.Mode.String())
 				t0 := time.Now() //helios:nondeterminism-ok wall-time metrics only; simulated results never read it
-				r, err := s.GetBudget(ctx, c.Workload, c.Mode, c.Budget)
+				r, err := s.GetBudget(wctx, c.Workload, c.Mode, c.Budget)
 				out[i] = CellResult{Cell: c, Result: r, Err: err, Wall: time.Since(t0)}
 				sp.SetBool("err", err != nil)
 				sp.End()

@@ -13,11 +13,10 @@ import (
 // inside the body must check cancellation on each iteration: a select,
 // a channel receive, or a ctx.Err()/ctx.Done() call in the loop body.
 //
-// This is the shape RunCells workers, the batcher's execute fan-out and
-// heliosd's drain waiter already have; the analyzer keeps the next
-// goroutine honest. A `go` statement whose callee cannot be resolved
-// (method value, function in another module) is a finding too —
-// unauditable is not the same as safe.
+// This is the shape RunCells workers and heliosd's drain waiter already
+// have; the analyzer keeps the next goroutine honest. A `go` statement
+// whose callee cannot be resolved (method value, function in another
+// module) is a finding too — unauditable is not the same as safe.
 //
 // Escape hatch: //helios:goroutinelife-ok <reason> on the go statement.
 var GoroutineLife = &Analyzer{

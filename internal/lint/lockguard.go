@@ -17,8 +17,8 @@ import (
 // it — a closure may run on another goroutine). A field whose accesses
 // are majority-under-lock (and at least twice) is declared guarded;
 // every remaining unguarded access is a finding. This is how the
-// admission queue, result cache and batcher in internal/serve and the
-// suite scheduler in internal/core keep their invariants as they grow:
+// admission queue in internal/serve and the singleflight memo and suite
+// scheduler in internal/core keep their invariants as they grow:
 // adding one forgotten-lock access trips CI instead of a race.
 //
 // The analyzer also builds lock-order edges: acquiring mutex B while

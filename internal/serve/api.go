@@ -1,9 +1,9 @@
 // Package serve implements heliosd: simulation-as-a-service over
-// HTTP+JSON, engineered robustness-first. Every result is keyed by a
-// content hash of (workload, machine config, budget, engine version) so
-// repeat requests are pure cache hits; in-flight misses are deduplicated
-// by singleflight; distinct requests sharing a workload coalesce through
-// a time/size-bounded micro-batcher into one record phase.
+// HTTP+JSON, engineered robustness-first. Every result is identified by
+// a content hash of (workload, machine config, budget, engine version)
+// and cached in the core suite, so repeat requests are pure cache hits,
+// identical in-flight misses share one computation, and distinct
+// requests for one workload share its record phase.
 //
 // The robustness layer is the contract (DESIGN.md §14): a bounded
 // admission queue that rejects overload with a typed 429 carrying a
@@ -33,17 +33,17 @@ type RunRequest struct {
 	// to its configured maximum. 0 = the server's default deadline.
 	DeadlineMs int64 `json:"deadline_ms,omitempty"`
 	// Config optionally overrides the whole machine description. When
-	// set, Mode is taken from the config and the result is cached only
-	// under its content hash (custom machines bypass the suite's
-	// default-config cache).
+	// set, Mode is taken from the config; the result is cached under the
+	// full config, so a config equal to a mode's default shares that
+	// mode's result.
 	Config *ooo.Config `json:"config,omitempty"`
 	// Obs requests a per-run observability artifact: "pipeview" (Konata
 	// O3PipeView), "events" (NDJSON pipeline events) or "interval"
 	// (interval-sampled CSV). An observed run replays off the suite's
-	// record-once trace outside the result cache and the micro-batcher —
-	// the artifact is a side effect, not a cacheable value — and replay
-	// determinism makes the payload byte-identical to heliossim's for
-	// the same workload/config/budget.
+	// record-once trace outside the result cache — the artifact is a
+	// side effect, not a cacheable value — and replay determinism makes
+	// the payload byte-identical to heliossim's for the same
+	// workload/config/budget.
 	Obs string `json:"obs,omitempty"`
 	// ObsInterval is the sampler period for obs:"interval", in committed
 	// instructions (0 = the server default).
@@ -70,11 +70,10 @@ type RunResponse struct {
 	Key       string    `json:"key"` // content address of the result
 	Workload  string    `json:"workload"`
 	Mode      string    `json:"mode"`
-	Insts     uint64    `json:"insts"`                // resolved budget
-	Engine    string    `json:"engine"`               // engine version baked into the key
-	Cached    bool      `json:"cached"`               // pure content-cache hit
-	Coalesced bool      `json:"coalesced,omitempty"`  // waited on an identical in-flight run
-	BatchSize int       `json:"batch_size,omitempty"` // size of the micro-batch this ran in
+	Insts     uint64    `json:"insts"`               // resolved budget
+	Engine    string    `json:"engine"`              // engine version baked into the key
+	Cached    bool      `json:"cached"`              // pure content-cache hit
+	Coalesced bool      `json:"coalesced,omitempty"` // waited on an identical in-flight run
 	IPC       float64   `json:"ipc"`
 	Stats     ooo.Stats `json:"stats"`
 	// Artifact carries the captured obs stream for requests with an obs

@@ -42,10 +42,6 @@ type Config struct {
 	RetryAfter time.Duration
 	// MaxBodyBytes bounds request bodies; larger bodies get a typed 413.
 	MaxBodyBytes int64
-	// MaxBatch / BatchWait bound the micro-batcher: a pending batch is
-	// cut at MaxBatch requests or BatchWait after its first request.
-	MaxBatch  int
-	BatchWait time.Duration
 	// DefaultInsts is the instruction budget when a request sends none
 	// (0 = each workload's own budget).
 	DefaultInsts uint64
@@ -95,8 +91,6 @@ func DefaultConfig() Config {
 		MaxDeadline:     2 * time.Minute,
 		RetryAfter:      500 * time.Millisecond,
 		MaxBodyBytes:    1 << 20,
-		MaxBatch:        8,
-		BatchWait:       2 * time.Millisecond,
 	}
 }
 
@@ -117,16 +111,13 @@ type Counters struct {
 	ManifestErrors   uint64 `json:"manifest_errors"`
 }
 
-// Server is the heliosd service core: it owns the suite (record-once
-// cache + scheduler), the content-addressed result cache, the
-// micro-batcher and the robustness envelope. It is transport-agnostic —
-// Handler returns the http.Handler; the cmd owns the listener.
+// Server is the heliosd service core: it owns the suite (the record-once
+// trace and result caches plus the scheduler) and the robustness
+// envelope. It is transport-agnostic — Handler returns the
+// http.Handler; the cmd owns the listener.
 type Server struct {
-	cfg     Config
-	suite   *core.Suite
-	cache   *resultCache
-	batch   *batcher
-	baseCtx context.Context
+	cfg   Config
+	suite *core.Suite
 	// tel is nil unless Config.Telemetry — the nil pointer IS the
 	// disabled state, so the request path never branches on a flag.
 	tel *telemetry.Tracer
@@ -136,6 +127,10 @@ type Server struct {
 	// warmEntries counts results restored from CacheDir at boot; written
 	// once before traffic, read-only after.
 	warmEntries int
+	// runHook, when a test sets it before traffic, runs on every /v1/run
+	// request after admission, under the request's deadline context —
+	// tests park requests in their admission slots with it.
+	runHook func(ctx context.Context)
 
 	wg sync.WaitGroup
 
@@ -149,30 +144,30 @@ type Server struct {
 	// request-duration histogram; exposition filters them through
 	// Tracer.Retained so /metricz only links to traces /tracez can serve.
 	latencyEx telemetry.ExemplarSet
+
+	// The result cache's verdicts on /v1/run requests.
+	cacheHits, cacheMisses, cacheCoalesced uint64
 }
 
-// New builds a server rooted at ctx: the context bounds background work
-// (the batcher's shared record phases) and should be the process root.
-func New(ctx context.Context, cfg Config) *Server {
+// New builds a server. The context is unused: the server starts no
+// background work, since every simulation runs on the goroutine of the
+// request that needs it.
+func New(_ context.Context, cfg Config) *Server {
 	if cfg.QueueDepth < 1 {
 		cfg.QueueDepth = 1
 	}
 	if cfg.MaxBodyBytes <= 0 {
 		cfg.MaxBodyBytes = 1 << 20
 	}
-	suite := core.NewSuite(cfg.DefaultInsts)
 	var tel *telemetry.Tracer
 	if cfg.Telemetry {
 		tel = telemetry.New(telemetry.Options{Ring: cfg.TraceRing, NDJSON: cfg.SpanLog, Sampler: cfg.Sampler})
 	}
 	s := &Server{
-		cfg:     cfg,
-		suite:   suite,
-		cache:   newResultCache(),
-		batch:   newBatcher(ctx, suite, cfg.MaxBatch, cfg.BatchWait),
-		baseCtx: ctx,
-		tel:     tel,
-		flight:  newFlightRecorder(cfg.FlightSize),
+		cfg:    cfg,
+		suite:  core.NewSuite(cfg.DefaultInsts),
+		tel:    tel,
+		flight: newFlightRecorder(cfg.FlightSize),
 	}
 	if cfg.CacheDir != "" {
 		s.warmEntries = s.warmCache(cfg.CacheDir)
@@ -180,7 +175,7 @@ func New(ctx context.Context, cfg Config) *Server {
 	return s
 }
 
-// Suite exposes the underlying record/replay cache — the chaos soak
+// Suite exposes the underlying record/replay caches — the chaos soak
 // seeds poisoned recordings through it, and cmds surface its metrics.
 func (s *Server) Suite() *core.Suite { return s.suite }
 
@@ -458,10 +453,10 @@ func classify(err error) *Error {
 // resolveRun turns a RunRequest into a fully resolved (name, config,
 // budget) triple, validating every axis against the registered
 // workloads and the paper's fusion modes.
-func (s *Server) resolveRun(req *RunRequest) (name string, cfg ooo.Config, budget uint64, custom bool, e *Error) {
+func (s *Server) resolveRun(req *RunRequest) (name string, cfg ooo.Config, budget uint64, e *Error) {
 	wl, ok := workloads.ByName(req.Workload)
 	if !ok {
-		return "", cfg, 0, false, &Error{Kind: ErrBadRequest,
+		return "", cfg, 0, &Error{Kind: ErrBadRequest,
 			Msg: fmt.Sprintf("unknown workload %q (GET /v1/workloads lists them)", req.Workload)}
 	}
 	budget = req.Insts
@@ -473,10 +468,10 @@ func (s *Server) resolveRun(req *RunRequest) (name string, cfg ooo.Config, budge
 	}
 	if req.Config != nil {
 		if req.Mode != "" && req.Mode != req.Config.Mode.String() {
-			return "", cfg, 0, false, &Error{Kind: ErrBadRequest,
+			return "", cfg, 0, &Error{Kind: ErrBadRequest,
 				Msg: fmt.Sprintf("mode %q conflicts with config.Mode %q", req.Mode, req.Config.Mode)}
 		}
-		return wl.Name, *req.Config, budget, true, nil
+		return wl.Name, *req.Config, budget, nil
 	}
 	modeName := req.Mode
 	if modeName == "" {
@@ -484,10 +479,10 @@ func (s *Server) resolveRun(req *RunRequest) (name string, cfg ooo.Config, budge
 	}
 	mode, ok := fusion.ModeByName(modeName)
 	if !ok {
-		return "", cfg, 0, false, &Error{Kind: ErrBadRequest,
+		return "", cfg, 0, &Error{Kind: ErrBadRequest,
 			Msg: fmt.Sprintf("unknown fusion mode %q (want one of %v)", modeName, fusion.Modes)}
 	}
-	return wl.Name, ooo.DefaultConfig(mode), budget, false, nil
+	return wl.Name, ooo.DefaultConfig(mode), budget, nil
 }
 
 func (s *Server) handleRun(ctx0 context.Context, r *http.Request) (any, *Error) {
@@ -495,7 +490,7 @@ func (s *Server) handleRun(ctx0 context.Context, r *http.Request) (any, *Error) 
 	if e := decodeJSON(r, &req); e != nil {
 		return nil, e
 	}
-	name, cfg, budget, custom, e := s.resolveRun(&req)
+	name, cfg, budget, e := s.resolveRun(&req)
 	if e != nil {
 		return nil, e
 	}
@@ -514,30 +509,34 @@ func (s *Server) handleRun(ctx0 context.Context, r *http.Request) (any, *Error) 
 	}
 	ctx, cancel := s.reqCtx(ctx0, req.DeadlineMs)
 	defer cancel()
+	if s.runHook != nil {
+		s.runHook(ctx)
+	}
 
 	if req.Obs != "" {
 		return s.runObs(ctx, &req, name, cfg, budget, key)
 	}
 
-	batchSize := 0
-	res, cached, coalesced, err := s.cache.do(ctx, key, func() (*core.Result, error) {
-		rr, n, rerr := s.batch.submit(ctx, name, budget, cfg, custom)
-		batchSize = n
-		return rr, rerr
-	})
+	res, cached, coalesced, err := s.suite.ReplayCached(ctx, name, cfg, budget)
+	verdict := "miss"
+	s.mu.Lock()
+	switch {
+	case cached:
+		verdict = "hit"
+		s.cacheHits++
+	case coalesced:
+		verdict = "coalesced"
+		s.cacheCoalesced++
+	default:
+		s.cacheMisses++
+	}
+	s.mu.Unlock()
 	if err != nil {
 		return nil, classify(err)
 	}
 	tr.SetAttr("cached", boolStr(cached))
 	if fs != nil {
-		switch {
-		case cached:
-			fs.Cache = "hit"
-		case coalesced:
-			fs.Cache = "coalesced"
-		default:
-			fs.Cache = "miss"
-		}
+		fs.Cache = verdict
 	}
 	if s.manifestDirs() != nil && !cached {
 		msp := tr.Start("manifest")
@@ -552,7 +551,6 @@ func (s *Server) handleRun(ctx0 context.Context, r *http.Request) (any, *Error) 
 		Engine:    core.EngineVersion(),
 		Cached:    cached,
 		Coalesced: coalesced,
-		BatchSize: batchSize,
 		IPC:       res.Stats.IPC(),
 		Stats:     res.Stats,
 	}, nil
@@ -683,24 +681,29 @@ func (s *Server) manifestDirs() []string {
 // writeManifest records one completed run in the manifest directories,
 // stamped with the cache identity (ResultKey/Budget/Engine) warmCache
 // verifies on the next boot. Manifest failures are telemetry, not
-// request failures: the result is already computed and correct.
+// request failures: the result is already computed and correct. The
+// files are written outside s.mu, which admission and the health and
+// metrics endpoints share; only the counters are updated under it.
 func (s *Server) writeManifest(key, name string, cfg ooo.Config, budget uint64, res *core.Result) {
 	m := report.NewManifest(name, cfg.Mode, cfg, res.Stats)
 	m.ResultKey = key
 	m.Budget = budget
 	m.Engine = core.EngineVersion()
 	fname := fmt.Sprintf("%s-%s-%s.json", name, cfg.Mode, key[:12])
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	var written, failed uint64
 	for _, dir := range s.manifestDirs() {
 		path := filepath.Join(dir, fname)
 		if err := m.WriteFile(path); err != nil {
-			s.c.ManifestErrors++
+			failed++
 			s.logf("serve: manifest %s: %v", path, err)
 			continue
 		}
-		s.c.ManifestsWritten++
+		written++
 	}
+	s.mu.Lock()
+	s.c.ManifestsWritten += written
+	s.c.ManifestErrors += failed
+	s.mu.Unlock()
 }
 
 // resolveMatrix validates a workload×mode matrix and returns the
@@ -833,7 +836,7 @@ type health struct {
 }
 
 func (s *Server) healthSnapshot() health {
-	entries, _, _, _ := s.cache.stats()
+	entries := s.suite.CachedResults()
 	lf := s.suite.Metrics().LiveFallbacks
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -909,9 +912,6 @@ type metricsSnapshot struct {
 	cacheHits      uint64
 	cacheMisses    uint64
 	cacheCoalesced uint64
-	batches        uint64
-	batched        uint64
-	maxBatch       uint64
 	suite          core.Metrics
 	tracing        telemetry.Metrics
 	spanHists      []telemetry.NamedHistogram
@@ -923,8 +923,7 @@ type metricsSnapshot struct {
 
 func (s *Server) snapshotMetrics() metricsSnapshot {
 	var snap metricsSnapshot
-	snap.cacheEntries, snap.cacheHits, snap.cacheMisses, snap.cacheCoalesced = s.cache.stats()
-	snap.batches, snap.batched, snap.maxBatch = s.batch.stats()
+	snap.cacheEntries = s.suite.CachedResults()
 	snap.suite = s.suite.Metrics()
 	snap.tracing = s.tel.Metrics()
 	snap.spanHists = s.tel.Histograms()
@@ -937,6 +936,7 @@ func (s *Server) snapshotMetrics() metricsSnapshot {
 	snap.maxInflight = s.maxInflight
 	snap.queueDepth = s.cfg.QueueDepth
 	snap.c = s.c
+	snap.cacheHits, snap.cacheMisses, snap.cacheCoalesced = s.cacheHits, s.cacheMisses, s.cacheCoalesced
 	snap.latency = s.latency
 	snap.latencyEx = s.latencyEx
 	s.mu.Unlock()
@@ -993,11 +993,6 @@ func (s *Server) handleMetricz(w http.ResponseWriter, r *http.Request) {
 			Misses      uint64 `json:"misses"`
 			Coalesced   uint64 `json:"coalesced"`
 		} `json:"cache"`
-		Batch struct {
-			Batches  uint64 `json:"batches"`
-			Requests uint64 `json:"requests"`
-			MaxBatch uint64 `json:"max_batch"`
-		} `json:"batch"`
 		Suite struct {
 			TraceMisses   uint64 `json:"trace_misses"`
 			TraceHits     uint64 `json:"trace_hits"`
@@ -1024,9 +1019,6 @@ func (s *Server) handleMetricz(w http.ResponseWriter, r *http.Request) {
 	payload.Cache.Hits = snap.cacheHits
 	payload.Cache.Misses = snap.cacheMisses
 	payload.Cache.Coalesced = snap.cacheCoalesced
-	payload.Batch.Batches = snap.batches
-	payload.Batch.Requests = snap.batched
-	payload.Batch.MaxBatch = snap.maxBatch
 	payload.Suite.TraceMisses = snap.suite.TraceMisses
 	payload.Suite.TraceHits = snap.suite.TraceHits
 	payload.Suite.Replays = snap.suite.Replays
@@ -1088,14 +1080,11 @@ func (s *Server) writeProm(w http.ResponseWriter, snap metricsSnapshot, om bool)
 	p.Gauge("heliosd_inflight_requests", "Requests currently admitted.", float64(snap.inflight))
 	p.Gauge("heliosd_inflight_requests_max", "Admission high-water mark.", float64(snap.maxInflight))
 	p.Gauge("heliosd_queue_depth", "Configured admission bound.", float64(snap.queueDepth))
-	p.Gauge("heliosd_cache_entries", "Content-addressed results resident.", float64(snap.cacheEntries))
+	p.Gauge("heliosd_cache_entries", "Results resident in the result cache.", float64(snap.cacheEntries))
 	p.Gauge("heliosd_cache_warm_entries", "Results restored from the cache directory at boot.", float64(snap.warmEntries))
 	p.Counter("heliosd_cache_hits_total", "Result-cache hits.", snap.cacheHits)
 	p.Counter("heliosd_cache_misses_total", "Result-cache misses.", snap.cacheMisses)
 	p.Counter("heliosd_cache_coalesced_total", "Requests that waited on an identical in-flight run.", snap.cacheCoalesced)
-	p.Counter("heliosd_batches_total", "Micro-batches executed.", snap.batches)
-	p.Counter("heliosd_batched_requests_total", "Requests that rode in a micro-batch.", snap.batched)
-	p.Gauge("heliosd_batch_size_max", "Largest batch cut so far.", float64(snap.maxBatch))
 	p.Counter("heliosd_suite_trace_hits_total", "Record-once trace cache hits.", snap.suite.TraceHits)
 	p.Counter("heliosd_suite_trace_misses_total", "Record-once trace cache misses.", snap.suite.TraceMisses)
 	p.Counter("heliosd_suite_replays_total", "Replay runs off cached recordings.", snap.suite.Replays)

@@ -18,12 +18,10 @@ import (
 )
 
 // testConfig keeps unit-test servers fast and deterministic: tiny
-// budgets, no batch window (cut immediately), generous deadline.
+// budgets, generous deadline.
 func testConfig() Config {
 	cfg := DefaultConfig()
 	cfg.DefaultInsts = 5_000
-	cfg.MaxBatch = 1
-	cfg.BatchWait = 0
 	cfg.DefaultDeadline = 30 * time.Second
 	return cfg
 }
@@ -36,6 +34,26 @@ func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(ts.Close)
 	return s, ts
+}
+
+// park holds every /v1/run request on s after admission until release
+// is called (at the latest when the test ends) or the request's deadline
+// passes. parked receives one value per request that reached the hook;
+// its buffer exceeds any test's request count, so reporting never blocks.
+func park(t *testing.T, s *Server) (parked <-chan struct{}, release func()) {
+	arrived := make(chan struct{}, 16)
+	gate := make(chan struct{})
+	var once sync.Once
+	release = func() { once.Do(func() { close(gate) }) }
+	t.Cleanup(release)
+	s.runHook = func(ctx context.Context) {
+		arrived <- struct{}{}
+		select {
+		case <-gate:
+		case <-ctx.Done():
+		}
+	}
+	return arrived, release
 }
 
 func postJSON(t *testing.T, url string, body any) (*http.Response, []byte) {
@@ -131,8 +149,8 @@ func TestRunCachedAndCoalesced(t *testing.T) {
 	}
 }
 
-// TestRunCustomConfig: a custom machine bypasses the default cache but
-// still gets a content key, and a config change changes the key.
+// TestRunCustomConfig: a custom machine gets its own content key, and a
+// config change changes the key.
 func TestRunCustomConfig(t *testing.T) {
 	_, ts := newTestServer(t, testConfig())
 	cfg := ooo.DefaultConfig(fusion.ModeHelios)
@@ -201,35 +219,26 @@ func TestHostileRequests(t *testing.T) {
 	}
 }
 
-// TestAdmissionOverload holds QueueDepth slots open via the batch
-// window (a long BatchWait parks the first requests inside their
-// admission slots) and checks the next request bounces with a typed
-// 429 carrying both retry-after forms.
+// TestAdmissionOverload parks QueueDepth requests inside their
+// admission slots and checks the next request bounces with a typed 429
+// carrying both retry-after forms.
 func TestAdmissionOverload(t *testing.T) {
 	cfg := testConfig()
 	cfg.QueueDepth = 2
-	cfg.MaxBatch = 64               // never cut by size
-	cfg.BatchWait = 2 * time.Second // park requests in the window
 	cfg.RetryAfter = 1500 * time.Millisecond
 	s, ts := newTestServer(t, cfg)
+	parked, release := park(t, s)
 
 	var wg sync.WaitGroup
 	for i := 0; i < 2; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			// Distinct modes: distinct content keys, same batch group.
 			postJSONQuiet(ts.URL+"/v1/run", RunRequest{Workload: "crc32", Mode: fusion.Modes[i].String()})
 		}(i)
 	}
-	// Wait until both slots are held.
-	deadline := time.Now().Add(2 * time.Second)
-	for s.healthSnapshot().Inflight < 2 {
-		if time.Now().After(deadline) {
-			t.Fatal("parked requests never occupied the queue")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	<-parked
+	<-parked
 
 	resp, body := postJSON(t, ts.URL+"/v1/run", RunRequest{Workload: "sha", Mode: "Helios"})
 	if resp.StatusCode != 429 {
@@ -242,6 +251,7 @@ func TestAdmissionOverload(t *testing.T) {
 	if ra := resp.Header.Get("Retry-After"); ra != "2" {
 		t.Errorf("Retry-After header = %q, want %q (1500ms rounded up)", ra, "2")
 	}
+	release()
 	wg.Wait()
 	if got := s.MaxInflight(); got > 2 {
 		t.Errorf("max inflight = %d, exceeded QueueDepth 2", got)
@@ -251,15 +261,12 @@ func TestAdmissionOverload(t *testing.T) {
 	}
 }
 
-// TestDeadlinePropagation: a 1ms deadline with the run parked behind a
-// longer batch window must come back as a typed 504, and the partial
-// work must not poison the cache — a later request with a sane deadline
-// succeeds.
+// TestDeadlinePropagation: a 1ms deadline that expires while the run is
+// parked must come back as a typed 504, and the partial work must not
+// poison the cache — a later request with a sane deadline succeeds.
 func TestDeadlinePropagation(t *testing.T) {
-	cfg := testConfig()
-	cfg.MaxBatch = 64
-	cfg.BatchWait = 100 * time.Millisecond
-	_, ts := newTestServer(t, cfg)
+	s, ts := newTestServer(t, testConfig())
+	_, release := park(t, s)
 
 	req := RunRequest{Workload: "crc32", Mode: "Helios", DeadlineMs: 1}
 	resp, body := postJSON(t, ts.URL+"/v1/run", req)
@@ -270,6 +277,7 @@ func TestDeadlinePropagation(t *testing.T) {
 		t.Errorf("kind = %s, want %s", e.Kind, ErrDeadline)
 	}
 
+	release()
 	req.DeadlineMs = 30_000
 	resp, body = postJSON(t, ts.URL+"/v1/run", req)
 	if resp.StatusCode != 200 {
@@ -277,43 +285,27 @@ func TestDeadlinePropagation(t *testing.T) {
 	}
 }
 
-// TestBatchCoalescing fires every fusion mode for one workload
-// concurrently with a wide batch window: all six must ride one batch
-// (one record phase — TraceMisses == 1) and report the batch size.
-func TestBatchCoalescing(t *testing.T) {
-	cfg := testConfig()
-	cfg.MaxBatch = len(fusion.Modes)
-	cfg.BatchWait = 500 * time.Millisecond
-	s, ts := newTestServer(t, cfg)
+// TestConcurrentModesShareRecording fires every fusion mode for one
+// workload concurrently: all six must share one record phase
+// (TraceMisses == 1).
+func TestConcurrentModesShareRecording(t *testing.T) {
+	s, ts := newTestServer(t, testConfig())
 
 	var wg sync.WaitGroup
-	sizes := make([]int, len(fusion.Modes))
-	for i, m := range fusion.Modes {
+	for _, m := range fusion.Modes {
 		wg.Add(1)
-		go func(i int, m fusion.Mode) {
+		go func(m fusion.Mode) {
 			defer wg.Done()
 			status, body, err := postJSONQuiet(ts.URL+"/v1/run", RunRequest{Workload: "crc32", Mode: m.String()})
 			if err != nil || status != 200 {
 				t.Errorf("%v: status %d err %v: %s", m, status, err, body)
-				return
 			}
-			var rr RunResponse
-			if err := json.Unmarshal(body, &rr); err != nil {
-				t.Errorf("%v: bad RunResponse %s: %v", m, body, err)
-				return
-			}
-			sizes[i] = rr.BatchSize
-		}(i, m)
+		}(m)
 	}
 	wg.Wait()
 
 	if m := s.Suite().Metrics(); m.TraceMisses != 1 {
 		t.Errorf("TraceMisses = %d, want 1 (six modes must share one record phase)", m.TraceMisses)
-	}
-	for i, n := range sizes {
-		if n != len(fusion.Modes) {
-			t.Errorf("request %d rode a batch of %d, want %d", i, n, len(fusion.Modes))
-		}
 	}
 }
 
@@ -414,10 +406,8 @@ func TestDiffEndpoint(t *testing.T) {
 // is refused with a typed 503, readyz flips to draining, and Drain
 // returns nil within the deadline.
 func TestDrain(t *testing.T) {
-	cfg := testConfig()
-	cfg.MaxBatch = 64
-	cfg.BatchWait = 150 * time.Millisecond // park one request mid-flight
-	s, ts := newTestServer(t, cfg)
+	s, ts := newTestServer(t, testConfig())
+	parked, release := park(t, s)
 
 	type result struct {
 		status int
@@ -431,17 +421,23 @@ func TestDrain(t *testing.T) {
 		}
 		inflight <- result{status, body}
 	}()
-	deadline := time.Now().Add(2 * time.Second)
-	for s.healthSnapshot().Inflight < 1 {
-		if time.Now().After(deadline) {
-			t.Fatal("request never became in-flight")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	<-parked
 
 	dctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	if err := s.Drain(dctx); err != nil {
+	drained := make(chan error, 1)
+	go func() { drained <- s.Drain(dctx) }()
+	// Release the parked request only once the drain has begun, so the
+	// drain must wait for it.
+	deadline := time.Now().Add(2 * time.Second)
+	for !s.healthSnapshot().Draining {
+		if time.Now().After(deadline) {
+			t.Fatal("drain never began")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	release()
+	if err := <-drained; err != nil {
 		t.Fatalf("drain failed: %v", err)
 	}
 	r := <-inflight
@@ -477,19 +473,11 @@ func TestDrain(t *testing.T) {
 // TestDrainDeadlineExpires: a request that outlives the drain window
 // surfaces as a drain error naming the stragglers.
 func TestDrainDeadlineExpires(t *testing.T) {
-	cfg := testConfig()
-	cfg.MaxBatch = 64
-	cfg.BatchWait = time.Second
-	s, ts := newTestServer(t, cfg)
+	s, ts := newTestServer(t, testConfig())
+	parked, _ := park(t, s)
 
 	go postJSONQuiet(ts.URL+"/v1/run", RunRequest{Workload: "crc32"})
-	deadline := time.Now().Add(2 * time.Second)
-	for s.healthSnapshot().Inflight < 1 {
-		if time.Now().After(deadline) {
-			t.Fatal("request never became in-flight")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	<-parked
 	dctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
 	defer cancel()
 	err := s.Drain(dctx)

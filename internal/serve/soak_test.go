@@ -39,14 +39,12 @@ import (
 //   - the server drains cleanly afterwards and refuses new work typed
 //
 // Run under -race this doubles as the concurrency audit of the whole
-// serve stack (cache singleflight, batcher, admission accounting,
+// serve stack (the suite's singleflight memo, admission accounting,
 // tracer, sampler, flight recorder).
 func TestServiceSoak(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.DefaultInsts = 3_000
 	cfg.QueueDepth = 6 // small enough that overload genuinely fires
-	cfg.MaxBatch = 4
-	cfg.BatchWait = time.Millisecond
 	cfg.MaxBodyBytes = 8 << 10
 	cfg.RetryAfter = 5 * time.Millisecond
 	cfg.Telemetry = true
@@ -91,23 +89,14 @@ func TestServiceSoak(t *testing.T) {
 	names := []string{"crc32", "sha", "qsort", "bitcount"}
 	const clients, perClient = 8, 25
 
-	// The span audit runs after every client is done. Batch executors for
-	// deadline-abandoned requests can still be finishing their (balanced)
-	// span pairs in the background, so the balance check polls briefly
-	// before declaring an orphan — a genuinely leaked span never heals,
-	// a lagging End does.
+	// The span audit runs after every client is done. Every span opens
+	// and ends on a request's own goroutines, so the ledger must balance
+	// the moment the campaign returns.
 	audit := func() []error {
 		tel := s.Telemetry()
-		var balErr error
-		for wait := time.Duration(0); wait < 10*time.Second; wait += 20 * time.Millisecond {
-			if balErr = tel.Balance(); balErr == nil {
-				break
-			}
-			time.Sleep(20 * time.Millisecond)
-		}
 		var errs []error
-		if balErr != nil {
-			errs = append(errs, balErr)
+		if err := tel.Balance(); err != nil {
+			errs = append(errs, err)
 		}
 		for _, ti := range tel.Finished() {
 			if err := ti.Validate(); err != nil {
@@ -117,8 +106,8 @@ func TestServiceSoak(t *testing.T) {
 		return errs
 	}
 
-	// The sampling audit runs after the balance audit has polled the
-	// tracer to quiescence, so the ledger it checks is final.
+	// The sampling audit runs after the balance audit, on the same
+	// quiescent tracer, so the ledger it checks is final.
 	samplingAudit := func() []error {
 		tel := s.Telemetry()
 		m := tel.Metrics()

@@ -12,11 +12,13 @@ import (
 	"strings"
 	"testing"
 
+	"helios/internal/chaos"
 	"helios/internal/core"
 	"helios/internal/fusion"
 	"helios/internal/obs"
 	"helios/internal/ooo"
 	"helios/internal/telemetry"
+	"helios/internal/workloads"
 )
 
 // telemetryConfig is testConfig with span tracing on.
@@ -30,8 +32,8 @@ func telemetryConfig() Config {
 // service layer, mirroring ooo's TestCommitObsOffNoAllocs: with
 // Config.Telemetry false the tracer is a nil pointer and the complete
 // span hook sequence of one request — trace start, admission span,
-// context threading, cache/batch spans, outcome attrs, finish —
-// allocates nothing.
+// context threading, the suite's lane and cache spans, outcome attrs,
+// finish — allocates nothing.
 func TestServeTelemetryOffNoAllocs(t *testing.T) {
 	s := New(context.Background(), testConfig())
 	if s.Telemetry() != nil {
@@ -46,13 +48,11 @@ func TestServeTelemetryOffNoAllocs(t *testing.T) {
 		hctx := telemetry.WithTrace(ctx, tr)
 		tr2 := telemetry.FromContext(hctx)
 		tr2.SetAttr("workload", "crc32")
-		rd := tr2.Start("cache_read")
-		rd.SetAttr("hit", "true")
+		lctx := telemetry.WithLane(hctx, 1)
+		rd := telemetry.StartSpan(lctx, "cache_read")
+		rd.SetBool("hit", true)
 		rd.SetBool("coalesced", false)
 		rd.End()
-		bw := tr2.Start("batch_wait")
-		bw.SetInt("batch_size", 1)
-		bw.End()
 		tr.SetAttr("outcome", "ok")
 		s.finishTrace(tr)
 	})
@@ -100,7 +100,7 @@ func TestServeTraceLifecycle(t *testing.T) {
 	// The uncached run's trace carries the full phase ledger.
 	first := traces[0]
 	want := map[string]bool{"admission": false, "cache_read": false,
-		"cache_write": false, "batch_wait": false, "record": false, "replay": false}
+		"cache_write": false, "record": false, "replay": false}
 	for _, sp := range first.Spans {
 		if _, ok := want[sp.Name]; ok {
 			want[sp.Name] = true
@@ -121,10 +121,10 @@ func TestServeTraceLifecycle(t *testing.T) {
 		t.Errorf("trace workload = %q, want crc32", v)
 	}
 
-	// The cached run read the cache and never touched the batcher.
+	// The cached run read the cache and never recorded or replayed.
 	second := traces[1]
 	for _, sp := range second.Spans {
-		if sp.Name == "batch_wait" || sp.Name == "record" {
+		if sp.Name == "record" || sp.Name == "replay" {
 			t.Errorf("cached run trace has a %q span", sp.Name)
 		}
 	}
@@ -420,4 +420,68 @@ func mustMode(t *testing.T, name string) fusion.Mode {
 		t.Fatalf("unknown mode %q", name)
 	}
 	return m
+}
+
+// TestSuiteSpansNestUnderCells: two scheduler workers replay a corrupt
+// recording and repair it, and every span the suite opens inside a
+// cell — the repair's degrade span included — lands on that cell's
+// worker lane and nests under the cell, so every trace validates.
+func TestSuiteSpansNestUnderCells(t *testing.T) {
+	cfg := telemetryConfig()
+	cfg.SuiteWorkers = 2
+	s, ts := newTestServer(t, cfg)
+	w, _ := workloads.ByName("crc32")
+	rec, err := w.Record(cfg.DefaultInsts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad, err := chaos.CorruptRecording(rec, uint64(rec.Len()/2), 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Suite().SeedRecording(bad)
+
+	resp, body := postJSON(t, ts.URL+"/v1/suite", SuiteRequest{Workloads: []string{"crc32"}})
+	if resp.StatusCode != 200 {
+		t.Fatalf("suite: status %d: %s", resp.StatusCode, body)
+	}
+	var sr SuiteResponse
+	if err := json.Unmarshal(body, &sr); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range sr.Cells {
+		if c.Error != nil {
+			t.Errorf("cell %s/%s: %+v", c.Workload, c.Mode, c.Error)
+		}
+	}
+
+	degrades := 0
+	for _, ti := range s.Telemetry().Finished() {
+		if err := ti.Validate(); err != nil {
+			t.Errorf("trace %d: %v", ti.ID, err)
+		}
+		for _, sp := range ti.Spans {
+			if sp.Name == "degrade" {
+				degrades++
+			}
+			if sp.Name == "admission" || sp.Name == "cell" || insideCell(sp, ti.Spans) {
+				continue
+			}
+			t.Errorf("trace %d: span %q on lane %d is not inside a cell on its lane", ti.ID, sp.Name, sp.Lane)
+		}
+	}
+	if degrades == 0 {
+		t.Error("no degrade span: the corrupt recording was never repaired")
+	}
+}
+
+// insideCell reports whether sp lies within a cell span on its lane.
+func insideCell(sp telemetry.SpanInfo, spans []telemetry.SpanInfo) bool {
+	for _, c := range spans {
+		if c.Name == "cell" && c.Lane == sp.Lane &&
+			c.StartUS <= sp.StartUS && sp.StartUS+sp.DurUS <= c.StartUS+c.DurUS {
+			return true
+		}
+	}
+	return false
 }

@@ -58,16 +58,20 @@ func (tr *Trace) Snapshot() TraceInfo {
 		unended := !sp.ended
 		if unended || se.After(end) {
 			// Clamp to the trace end: open spans, and spans whose End
-			// raced past Finish (a batch executor finishing a balanced
-			// span pair for a deadline-abandoned request). The trace's
-			// exported timeline is sealed at Finish.
+			// raced past Finish (work that outlived its request). The
+			// trace's exported timeline is sealed at Finish.
 			se = end
 		}
+		// Both ends truncate from the trace start, so a span nested in
+		// another stays nested in whole microseconds; truncating the
+		// duration separately could push a child's end past its
+		// parent's.
+		startUS := sp.start.Sub(tr.start).Microseconds()
 		info.Spans = append(info.Spans, SpanInfo{
 			Name:    sp.name,
 			Lane:    sp.lane,
-			StartUS: sp.start.Sub(tr.start).Microseconds(),
-			DurUS:   se.Sub(sp.start).Microseconds(),
+			StartUS: startUS,
+			DurUS:   se.Sub(tr.start).Microseconds() - startUS,
 			Unended: unended,
 			Attrs:   append([]Attr(nil), sp.attrs...),
 		})

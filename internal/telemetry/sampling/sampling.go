@@ -102,8 +102,8 @@ func Default(seed uint64) *Chain {
 
 // errors keeps every trace whose outcome attribute is a failure kind
 // (serve stamps "ok" on success, the typed ErrKind on failure, "panic"
-// on a recovered panic) or that contains a span flagged err=true (the
-// batch executor marks record/replay spans that saw a *ooo.SimError).
+// on a recovered panic) or that contains a span flagged err=true
+// (core.Suite marks record and replay spans whose call failed).
 type errorsPolicy struct{}
 
 // Errors returns the always-keep-on-error policy (priority PrioError).

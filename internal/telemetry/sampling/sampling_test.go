@@ -29,7 +29,7 @@ func TestErrorsPolicy(t *testing.T) {
 			t.Fatalf("outcome %q: keep=%v prio=%d, want keep at PrioError", outcome, keep, prio)
 		}
 	}
-	// A span flagged err=true (the batch executor's SimError marker)
+	// A span flagged err=true (core.Suite's failed-replay marker)
 	// keeps the trace even when the request-level outcome looks healthy.
 	ti := traceWith(3, 100, "ok", "replay")
 	ti.Spans[0].Attrs = []telemetry.Attr{{Key: "err", Value: "true"}}

@@ -2,7 +2,7 @@
 // obs explains what the simulated core did to a µop, telemetry explains
 // what heliosd did to a request. A Tracer hands out per-request Traces;
 // code on the request path opens named Spans (admission, cache_read,
-// batch_wait, record, replay, cache_write, manifest) carrying string
+// record, replay, cache_write, manifest) carrying string
 // attributes, and the tracer aggregates span durations into
 // stats.Histogram latency histograms plus bookkeeping counters that
 // prove the span contract (every started span ends exactly once).
@@ -97,7 +97,7 @@ type Metrics struct {
 	// the instrumented code; the duplicate End is ignored).
 	SpanDoubleEnds uint64
 	// SpansDropped counts Start calls against already-finished traces
-	// (e.g. a batch executor outliving a deadline-expired request);
+	// (work that outlived its request);
 	// dropped spans return nil and never count as started.
 	SpansDropped uint64
 	// RingEvicted counts finished traces pushed out of the retention
@@ -394,19 +394,7 @@ func (tr *Trace) Start(name string) *Span {
 	return tr.startSpan(name, 0)
 }
 
-// StartLane opens a span on an explicit lane (Chrome trace "tid").
-// Lane 0 is the request timeline; core.RunCells uses lane 1+worker so
-// parallel suites render as a per-worker utilization timeline.
-//
-//helios:hotpath telemetry-disabled hook: a nil receiver must return without allocating
-func (tr *Trace) StartLane(name string, lane int) *Span {
-	if tr == nil {
-		return nil
-	}
-	return tr.startSpan(name, lane)
-}
-
-//helios:hotalloc-ok enabled path only, behind Start/StartLane's nil check
+//helios:hotalloc-ok enabled path only, behind the nil checks of Start and StartSpan
 func (tr *Trace) startSpan(name string, lane int) *Span {
 	now := tr.t.clock()
 	tr.mu.Lock()
@@ -785,4 +773,39 @@ func FromContext(ctx context.Context) *Trace {
 	//helios:hotalloc-ok ctxKey{} is zero-size (boxes to runtime.zerobase) and Context.Value lookups do not allocate; pinned by TestDisabledPathNoAllocs
 	tr, _ := ctx.Value(ctxKey{}).(*Trace)
 	return tr
+}
+
+// laneKey carries the lane StartSpan opens spans on. Like ctxKey it is
+// zero-size, so lookups stay allocation-free.
+type laneKey struct{}
+
+// WithLane returns a context whose StartSpan calls open spans on lane
+// (Chrome trace "tid"). Lane 0 is the request timeline; core.RunCells
+// gives each worker lane 1+worker, so parallel suites render as a
+// per-worker utilization timeline and every span a cell opens nests
+// under that cell. Without a trace in ctx it returns ctx unchanged, so
+// the disabled path threads no value and pays nothing.
+//
+//helios:hotpath telemetry-disabled hook: with no trace, ctx must come back unchanged without allocating
+func WithLane(ctx context.Context, lane int) context.Context {
+	if FromContext(ctx) == nil {
+		return ctx
+	}
+	//helios:hotalloc-ok enabled path only, behind the nil check; one context node per scheduler worker
+	return context.WithValue(ctx, laneKey{}, lane)
+}
+
+// StartSpan opens a span on the trace ctx carries, on the lane WithLane
+// set — lane 0, the request's own timeline, when none was set. Without
+// a trace it returns a nil span.
+//
+//helios:hotpath telemetry-disabled hook: with no trace it must return without allocating
+func StartSpan(ctx context.Context, name string) *Span {
+	tr := FromContext(ctx)
+	if tr == nil {
+		return nil
+	}
+	//helios:hotalloc-ok laneKey{} is zero-size and Context.Value lookups do not allocate
+	lane, _ := ctx.Value(laneKey{}).(int)
+	return tr.startSpan(name, lane)
 }

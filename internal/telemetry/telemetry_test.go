@@ -37,17 +37,17 @@ func TestSpanLifecycleAndSnapshot(t *testing.T) {
 	c.Advance(us(3))
 	adm.End()
 
-	outer := req.Start("batch_wait")
-	outer.SetInt("batch_size", 2)
+	outer := req.Start("replay")
+	outer.SetInt("n", 2)
 	c.Advance(us(2))
-	inner := req.Start("replay")
-	inner.SetBool("cached", false)
+	inner := req.Start("degrade")
+	inner.SetBool("err", false)
 	c.Advance(us(7))
 	inner.End()
 	c.Advance(us(1))
 	outer.End()
 
-	lane := req.StartLane("cell", 3)
+	lane := telemetry.StartSpan(telemetry.WithLane(telemetry.WithTrace(context.Background(), req), 3), "cell")
 	c.Advance(us(4))
 	lane.End()
 
@@ -80,16 +80,16 @@ func TestSpanLifecycleAndSnapshot(t *testing.T) {
 	if sp := byName["admission"]; sp.StartUS != 5 || sp.DurUS != 3 {
 		t.Fatalf("admission span = %+v", sp)
 	}
-	if sp := byName["batch_wait"]; sp.StartUS != 8 || sp.DurUS != 10 {
-		t.Fatalf("batch_wait span = %+v", sp)
-	}
-	if sp := byName["replay"]; sp.StartUS != 10 || sp.DurUS != 7 {
+	if sp := byName["replay"]; sp.StartUS != 8 || sp.DurUS != 10 {
 		t.Fatalf("replay span = %+v", sp)
+	}
+	if sp := byName["degrade"]; sp.StartUS != 10 || sp.DurUS != 7 {
+		t.Fatalf("degrade span = %+v", sp)
 	}
 	if sp := byName["cell"]; sp.Lane != 3 || sp.DurUS != 4 {
 		t.Fatalf("cell span = %+v", sp)
 	}
-	// Lane 0 top-level spans (admission + batch_wait, replay nested
+	// Lane 0 top-level spans (admission + replay, degrade nested
 	// inside) must sum to no more than the trace duration.
 	if sum := ti.TopLevelSumUS(0); sum != 13 || sum > ti.DurUS {
 		t.Fatalf("TopLevelSumUS(0) = %d (trace %d)", sum, ti.DurUS)
@@ -101,7 +101,7 @@ func TestSpanLifecycleAndSnapshot(t *testing.T) {
 		names = append(names, nh.Name)
 	}
 	joined := strings.Join(names, ",")
-	for _, want := range []string{"POST /v1/run", "admission", "batch_wait", "replay", "cell"} {
+	for _, want := range []string{"POST /v1/run", "admission", "replay", "degrade", "cell"} {
 		if !strings.Contains(joined, want) {
 			t.Fatalf("Histograms missing %q: %v", want, names)
 		}
@@ -110,6 +110,27 @@ func TestSpanLifecycleAndSnapshot(t *testing.T) {
 		if nh.Hist.Count != 1 {
 			t.Fatalf("histogram %q count = %d, want 1", nh.Name, nh.Hist.Count)
 		}
+	}
+}
+
+// TestSnapshotKeepsNestingUnderTruncation: spans export in whole
+// microseconds, and a child ending in the same microsecond as its
+// parent must still nest inside it.
+func TestSnapshotKeepsNestingUnderTruncation(t *testing.T) {
+	c := newFakeClock()
+	tr := telemetry.New(telemetry.Options{Clock: c.Now})
+	req := tr.StartTrace("r")
+	c.Advance(900 * time.Nanosecond)
+	outer := req.Start("cell")
+	c.Advance(100 * time.Nanosecond)
+	inner := req.Start("cache_read")
+	c.Advance(2 * time.Microsecond)
+	inner.End()
+	c.Advance(50 * time.Nanosecond)
+	outer.End()
+	req.Finish()
+	if err := tr.Finished()[0].Validate(); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -149,7 +170,7 @@ func TestBalanceViolations(t *testing.T) {
 	}
 
 	// Spans started after Finish are dropped, not leaked: the balance
-	// holds even when a batch executor outlives a canceled request.
+	// holds even when work outlives a canceled request.
 	tr3 := telemetry.New(telemetry.Options{Clock: c.Now})
 	req3 := tr3.StartTrace("r")
 	req3.Finish()
@@ -325,7 +346,7 @@ func TestDisabledPathNoAllocs(t *testing.T) {
 		sp.SetInt("n", 42)
 		sp.SetBool("b", true)
 		sp.End()
-		lane := tr2.StartLane("cell", 7)
+		lane := telemetry.StartSpan(telemetry.WithLane(c, 7), "cell")
 		lane.End()
 		tr2.Finish()
 		if disabled.Balance() != nil {

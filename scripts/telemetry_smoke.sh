@@ -82,7 +82,7 @@ echo "== tracez: Perfetto-loadable span trace"
 "${CTL[@]}" trace -out "$WORK/tracez.json"
 grep -q '"traceEvents"' "$WORK/tracez.json" || { echo "FAIL: no traceEvents"; exit 1; }
 grep -q '"ph":"X"' "$WORK/tracez.json" || { echo "FAIL: no complete span events"; exit 1; }
-for span in admission cache_read batch_wait record replay; do
+for span in admission cache_read record replay; do
   grep -q "\"name\":\"$span\"" "$WORK/tracez.json" \
     || { echo "FAIL: tracez lacks a $span span"; exit 1; }
 done
