@@ -19,7 +19,7 @@
 //	POST /v1/diff          a rendered differential report
 //	GET  /v1/workloads     the registered workload catalogue
 //	GET  /healthz /readyz  liveness and readiness
-//	GET  /metricz          JSON, Prometheus 0.0.4 or OpenMetrics (exemplars)
+//	GET  /metricz          JSON, or OpenMetrics with trace exemplars (?format=openmetrics)
 //	GET  /tracez           retained traces (?id= for one — the exemplar deep link)
 //	GET  /debugz/requests  the flight recorder (heliosctl triage reads this)
 //
@@ -60,19 +60,14 @@ func main() {
 
 		telemetry   = flag.Bool("telemetry", true, "per-request span tracing (GET /tracez, span histograms on /metricz); off, every hook is a zero-allocation no-op")
 		traceRing   = flag.Int("trace-ring", 0, "finished traces retained for GET /tracez (0 = default)")
-		traceDir    = flag.String("trace-dir", "", "write one Chrome trace-event JSON file per finished request into this directory")
+		traceDir    = flag.String("trace-dir", "", "write one Chrome trace-event JSON file per kept request trace (every trace without -sample) into this directory")
 		artifactDir = flag.String("artifact-dir", "", "write /v1/run obs artifacts as files here instead of inline base64")
-		spanLog     = flag.String("span-log", "", "append the NDJSON span stream to this file")
+		spanLog     = flag.String("span-log", "", "append the NDJSON span stream of kept traces to this file")
 
 		cacheDir   = flag.String("cache-dir", "", "warm the result cache from this manifest directory at boot, and write completed runs back into it")
 		flightSize = flag.Int("flight", serve.DefaultFlightSize, "flight-recorder capacity (recent request summaries on GET /debugz/requests)")
 
-		sample        = flag.Bool("sample", false, "tail-based trace sampling: keep errors, tail-latency outliers, rare spans and a rate-limited healthy budget instead of every trace")
-		sampleSeed    = flag.Uint64("sample-seed", 1, "seed for the deterministic probabilistic floor")
-		sampleFloor   = flag.Float64("sample-floor", 0.01, "fraction of all traces the probabilistic floor keeps regardless of other policies")
-		sampleRate    = flag.Float64("sample-rate", 25, "healthy-traffic retention budget, traces per second")
-		sampleBurst   = flag.Int("sample-burst", 50, "healthy-traffic retention burst")
-		sampleSlowPct = flag.Int("sample-slow-pct", 99, "adaptive latency percentile; slower traces are kept as tail outliers")
+		sample = flag.Bool("sample", false, "tail-based trace sampling: keep errors, tail-latency outliers, rare spans and a rate-limited healthy budget instead of every trace")
 	)
 	flag.Parse()
 	cfg := serve.Config{
@@ -93,16 +88,8 @@ func main() {
 		Logf:            logf,
 	}
 	if *sample {
-		// The explicit chain mirrors sampling.Default but exposes the
-		// floor/rate/percentile knobs; the policy algebra is documented in
-		// DESIGN.md §17.
-		cfg.Sampler = sampling.NewChain(
-			sampling.Errors(),
-			sampling.SlowTail(*sampleSlowPct, 64),
-			sampling.SpanBoost(sampling.PrioSpan, "record", "degrade"),
-			sampling.Limit(sampling.All(), *sampleRate, *sampleBurst),
-			sampling.Floor(*sampleFloor, *sampleSeed),
-		)
+		// The policy chain is documented in DESIGN.md §17.
+		cfg.Sampler = sampling.Default(1)
 	}
 	if *spanLog != "" {
 		f, err := os.OpenFile(*spanLog, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)

@@ -6,50 +6,47 @@ import (
 	"testing"
 )
 
-// TestNegotiateMetrics pins the documented /metricz format-resolution
-// precedence (the ISSUE satellite): an explicit ?format= wins outright
-// and misspellings are typed 400s; otherwise RFC 9110 quality factors
-// decide, with deterministic wildcard mapping, specificity tie-breaks,
-// and the om > prom > json server preference on exact ties.
+// TestNegotiateMetrics pins the two-way /metricz format rule: an
+// explicit ?format= wins outright and anything but json or openmetrics
+// is a typed 400; otherwise an Accept header naming
+// application/openmetrics-text at a nonzero quality selects OpenMetrics
+// and everything else gets JSON.
 func TestNegotiateMetrics(t *testing.T) {
 	cases := []struct {
 		name, format, accept string
-		want                 metricsFormat
+		wantOM               bool
 		wantErr              bool
 	}{
-		{"no header defaults to json", "", "", formatJSON, false},
-		{"format json", "json", "", formatJSON, false},
-		{"format prometheus", "prometheus", "", formatProm, false},
-		{"format text alias", "text", "", formatProm, false},
-		{"format openmetrics", "openmetrics", "", formatOM, false},
-		{"format overrides accept", "json", "text/plain", formatJSON, false},
-		{"unknown format is a typed 400", "promtheus", "", formatJSON, true},
+		{"no header defaults to json", "", "", false, false},
+		{"format json", "json", "", false, false},
+		{"format prometheus", "prometheus", "", false, true}, // not a form /metricz serves
+		{"format text alias", "text", "", false, true},
+		{"format openmetrics", "openmetrics", "", true, false},
+		{"format overrides accept", "json", "application/openmetrics-text", false, false},
+		{"unknown format is a typed 400", "promtheus", "", false, true},
 
-		{"curl default */*", "", "*/*", formatJSON, false},
-		{"exact text/plain", "", "text/plain", formatProm, false},
-		{"exact openmetrics", "", "application/openmetrics-text", formatOM, false},
-		{"exact json", "", "application/json", formatJSON, false},
-		{"text wildcard", "", "text/*", formatProm, false},
-		{"application wildcard", "", "application/*", formatJSON, false},
+		{"curl default */*", "", "*/*", false, false},
+		{"exact text/plain", "", "text/plain", false, false},
+		{"exact openmetrics", "", "application/openmetrics-text", true, false},
+		{"exact json", "", "application/json", false, false},
+		{"text wildcard", "", "text/*", false, false},
+		{"application wildcard", "", "application/*", false, false},
 
-		{"higher q wins", "", "application/openmetrics-text;q=0.9, text/plain;q=1.0", formatProm, false},
-		{"q demotes below the wildcard", "", "text/plain;q=0.8, */*;q=0.9", formatJSON, false},
-		{"specificity breaks q ties", "", "text/*;q=0.9, */*;q=0.9", formatProm, false},
-		{"server preference breaks exact ties", "", "text/plain, application/openmetrics-text", formatOM, false},
-		{"prometheus scrape header", "", "application/openmetrics-text;version=1.0.0;q=0.5,text/plain;version=0.0.4;q=0.3", formatOM, false},
+		{"server preference breaks exact ties", "", "text/plain, application/openmetrics-text", true, false},
+		{"prometheus scrape header", "", "application/openmetrics-text;version=1.0.0;q=0.5,text/plain;version=0.0.4;q=0.3,*/*;q=0.1", true, false},
 
-		{"q=0 excludes the type", "", "text/plain;q=0", formatJSON, false},
-		{"all offers at q=0 fall back to json", "", "text/plain;q=0, application/openmetrics-text;q=0", formatJSON, false},
-		{"malformed q ignores the element", "", "text/plain;q=banana", formatJSON, false},
-		{"malformed element does not poison the rest", "", "text/plain;q=banana, application/openmetrics-text", formatOM, false},
-		{"unknown types are ignored", "", "application/xml, image/png", formatJSON, false},
-		{"whitespace and case tolerated", "", " TEXT/PLAIN ; q=0.7 , application/json;q=0.2", formatProm, false},
+		{"q=0 excludes the type", "", "application/openmetrics-text;q=0", false, false},
+		{"all offers at q=0 fall back to json", "", "text/plain;q=0, application/openmetrics-text;q=0", false, false},
+		{"malformed q ignores the element", "", "application/openmetrics-text;q=banana", false, false},
+		{"malformed element does not poison the rest", "", "text/plain;q=banana, application/openmetrics-text", true, false},
+		{"unknown types are ignored", "", "application/xml, image/png", false, false},
+		{"whitespace and case tolerated", "", " APPLICATION/OpenMetrics-Text ; q=0.7 , application/json;q=0.2", true, false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			got, err := negotiateMetrics(tc.format, tc.accept)
+			got, err := wantOpenMetrics(tc.format, tc.accept)
 			if (err != nil) != tc.wantErr {
-				t.Fatalf("negotiateMetrics(%q, %q) err = %v, wantErr %t", tc.format, tc.accept, err, tc.wantErr)
+				t.Fatalf("wantOpenMetrics(%q, %q) err = %v, wantErr %t", tc.format, tc.accept, err, tc.wantErr)
 			}
 			if err != nil {
 				if err.Kind != ErrBadRequest {
@@ -57,8 +54,8 @@ func TestNegotiateMetrics(t *testing.T) {
 				}
 				return
 			}
-			if got != tc.want {
-				t.Errorf("negotiateMetrics(%q, %q) = %d, want %d", tc.format, tc.accept, got, tc.want)
+			if got != tc.wantOM {
+				t.Errorf("wantOpenMetrics(%q, %q) = %t, want %t", tc.format, tc.accept, got, tc.wantOM)
 			}
 		})
 	}

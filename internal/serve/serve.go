@@ -22,7 +22,6 @@ import (
 	"helios/internal/obs"
 	"helios/internal/ooo"
 	"helios/internal/report"
-	"helios/internal/stats"
 	"helios/internal/telemetry"
 	"helios/internal/workloads"
 )
@@ -59,17 +58,19 @@ type Config struct {
 	// (0 = telemetry.DefaultRing).
 	TraceRing int
 	// TraceDir, when set (and Telemetry is on), receives one Chrome
-	// trace-event JSON file per finished request.
+	// trace-event JSON file per finished request the sampler keeps.
 	TraceDir string
 	// ArtifactDir, when set, switches /v1/run obs artifacts from inline
 	// base64 payloads to server-side files referenced by path.
 	ArtifactDir string
 	// SpanLog, when non-nil (and Telemetry is on), receives the NDJSON
-	// span stream.
+	// span stream of the traces the sampler keeps.
 	SpanLog io.Writer
 	// Sampler, when non-nil (and Telemetry is on), makes the tail-based
-	// retention decision for every finished trace (DESIGN.md §17). Nil
-	// retains every finished trace FIFO — the pre-sampling behavior.
+	// retention decision for every finished trace: only kept traces
+	// enter the /tracez ring, become /metricz exemplars and reach
+	// TraceDir and SpanLog (DESIGN.md §17). Nil keeps every finished
+	// trace, FIFO.
 	Sampler telemetry.Sampler
 	// CacheDir, when set, is scanned at boot for manifests written by a
 	// previous heliosd process; every verifiable one warms the result
@@ -97,18 +98,20 @@ func DefaultConfig() Config {
 // Counters is the server's cumulative request telemetry, exposed by
 // /metricz and the smoke tooling. All fields are monotonic.
 type Counters struct {
-	Admitted         uint64 `json:"admitted"`
-	RejectedOverload uint64 `json:"rejected_overload"`
-	RejectedDraining uint64 `json:"rejected_draining"`
-	BadRequests      uint64 `json:"bad_requests"`
-	Oversized        uint64 `json:"oversized"`
-	DeadlineExpired  uint64 `json:"deadline_expired"`
-	Canceled         uint64 `json:"canceled"`
-	EngineFaults     uint64 `json:"engine_faults"`
-	PanicsRecovered  uint64 `json:"panics_recovered"`
-	Completed        uint64 `json:"completed"`
-	ManifestsWritten uint64 `json:"manifests_written"`
-	ManifestErrors   uint64 `json:"manifest_errors"`
+	Admitted         uint64
+	RejectedOverload uint64
+	RejectedDraining uint64
+	BadRequests      uint64
+	Oversized        uint64
+	DeadlineExpired  uint64
+	Canceled         uint64
+	EngineFaults     uint64
+	PanicsRecovered  uint64
+	Completed        uint64
+	ManifestsWritten uint64
+	ManifestErrors   uint64
+	// The result cache's verdicts on /v1/run requests.
+	CacheHits, CacheMisses, CacheCoalesced uint64
 }
 
 // Server is the heliosd service core: it owns the suite (the record-once
@@ -139,14 +142,10 @@ type Server struct {
 	inflight    int
 	maxInflight int
 	c           Counters
-	latency     stats.Histogram // completed-request wall time, microseconds
-	// latencyEx holds per-bucket exemplar candidates for the
-	// request-duration histogram; exposition filters them through
+	// latency is the completed-request wall time in microseconds. Its
+	// exemplars are candidates: exposition filters them through
 	// Tracer.Retained so /metricz only links to traces /tracez can serve.
-	latencyEx telemetry.ExemplarSet
-
-	// The result cache's verdicts on /v1/run requests.
-	cacheHits, cacheMisses, cacheCoalesced uint64
+	latency telemetry.Histogram
 }
 
 // New builds a server. The context is unused: the server starts no
@@ -329,12 +328,12 @@ func (s *Server) recordFlight(fs *RequestSummary, tr *telemetry.Trace, start tim
 	s.flight.record(fs)
 }
 
-// finishTrace closes a request trace and, when TraceDir is set, exports
-// it as a standalone Chrome trace-event file. Export failures are
-// telemetry, never request failures.
+// finishTrace closes a request trace and, when TraceDir is set and the
+// sampler kept the trace, exports it as a standalone Chrome trace-event
+// file. Export failures are telemetry, never request failures.
 func (s *Server) finishTrace(tr *telemetry.Trace) {
 	tr.Finish()
-	if tr == nil || s.cfg.TraceDir == "" {
+	if v, _ := tr.Verdict(); s.cfg.TraceDir == "" || !v.Keep {
 		return
 	}
 	ti := tr.Snapshot()
@@ -385,14 +384,12 @@ func (s *Server) admitOne() (int, *Error) {
 // stack); exposition filters through Tracer.Retained, so only traces
 // the sampler kept are ever emitted.
 func (s *Server) releaseOne(t0 time.Time, tr *telemetry.Trace) {
-	us := time.Since(t0).Microseconds()
+	now := time.Now()
+	us := now.Sub(t0).Microseconds()
 	id := tr.ID()
 	s.mu.Lock()
 	s.inflight--
-	s.latency.Observe(uint64(us))
-	if id != 0 {
-		s.latencyEx.Observe(uint64(us), id, time.Now().UnixMicro())
-	}
+	s.latency.Observe(uint64(us), id, now.UnixMicro())
 	s.mu.Unlock()
 	s.wg.Done()
 }
@@ -523,12 +520,12 @@ func (s *Server) handleRun(ctx0 context.Context, r *http.Request) (any, *Error) 
 	switch {
 	case cached:
 		verdict = "hit"
-		s.cacheHits++
+		s.c.CacheHits++
 	case coalesced:
 		verdict = "coalesced"
-		s.cacheCoalesced++
+		s.c.CacheCoalesced++
 	default:
-		s.cacheMisses++
+		s.c.CacheMisses++
 	}
 	s.mu.Unlock()
 	if err != nil {
@@ -874,286 +871,6 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 		h.Status = "ready"
 	}
 	writeJSON(w, status, h)
-}
-
-// HistSummary is the JSON rendering of a latency histogram: count,
-// mean and the P50/P95/P99 percentiles, all in the histogram's base
-// unit (microseconds for heliosd). Both /metricz forms derive from the
-// same stats.Histogram, so JSON percentiles and Prometheus buckets can
-// never disagree about the underlying distribution.
-type HistSummary struct {
-	Count uint64 `json:"count"`
-	Mean  uint64 `json:"mean"`
-	P50   uint64 `json:"p50"`
-	P95   uint64 `json:"p95"`
-	P99   uint64 `json:"p99"`
-}
-
-func summarize(h stats.Histogram) HistSummary {
-	return HistSummary{
-		Count: h.Count,
-		Mean:  h.Mean(),
-		P50:   h.Percentile(50),
-		P95:   h.Percentile(95),
-		P99:   h.Percentile(99),
-	}
-}
-
-// metricsSnapshot is one consistent read of every counter surface the
-// two /metricz renderings share.
-type metricsSnapshot struct {
-	draining       bool
-	inflight       int
-	maxInflight    int
-	queueDepth     int
-	c              Counters
-	latency        stats.Histogram
-	cacheEntries   int
-	cacheHits      uint64
-	cacheMisses    uint64
-	cacheCoalesced uint64
-	suite          core.Metrics
-	tracing        telemetry.Metrics
-	spanHists      []telemetry.NamedHistogram
-	sampling       telemetry.SamplingStats
-	spanEx         []telemetry.NamedExemplars
-	latencyEx      telemetry.ExemplarSet
-	warmEntries    int
-}
-
-func (s *Server) snapshotMetrics() metricsSnapshot {
-	var snap metricsSnapshot
-	snap.cacheEntries = s.suite.CachedResults()
-	snap.suite = s.suite.Metrics()
-	snap.tracing = s.tel.Metrics()
-	snap.spanHists = s.tel.Histograms()
-	snap.sampling = s.tel.Sampling()
-	snap.spanEx = s.tel.SpanExemplars()
-	snap.warmEntries = s.warmEntries
-	s.mu.Lock()
-	snap.draining = s.draining
-	snap.inflight = s.inflight
-	snap.maxInflight = s.maxInflight
-	snap.queueDepth = s.cfg.QueueDepth
-	snap.c = s.c
-	snap.cacheHits, snap.cacheMisses, snap.cacheCoalesced = s.cacheHits, s.cacheMisses, s.cacheCoalesced
-	snap.latency = s.latency
-	snap.latencyEx = s.latencyEx
-	s.mu.Unlock()
-	return snap
-}
-
-// samplingJSON is the /metricz JSON rendering of the sampler's ledger.
-type samplingJSON struct {
-	Kept            uint64            `json:"kept"`
-	Dropped         uint64            `json:"dropped"`
-	Retained        int               `json:"retained"`
-	KeptByPolicy    map[string]uint64 `json:"kept_by_policy,omitempty"`
-	EvictedByPolicy map[string]uint64 `json:"evicted_by_policy,omitempty"`
-}
-
-func policyMap(rows []telemetry.PolicyCount) map[string]uint64 {
-	if len(rows) == 0 {
-		return nil
-	}
-	m := make(map[string]uint64, len(rows))
-	for _, r := range rows {
-		m[r.Policy] = r.Count
-	}
-	return m
-}
-
-// handleMetricz content-negotiates the metrics surface via
-// negotiateMetrics (see its doc comment for the full precedence): the
-// structured JSON document by default, Prometheus text 0.0.4 for
-// classic scrapers, OpenMetrics 1.0.0 — with trace exemplars on the
-// histogram buckets when telemetry is on — for clients that ask for it.
-func (s *Server) handleMetricz(w http.ResponseWriter, r *http.Request) {
-	format, fe := negotiateMetrics(r.URL.Query().Get("format"), r.Header.Get("Accept"))
-	if fe != nil {
-		writeError(w, fe)
-		return
-	}
-	snap := s.snapshotMetrics()
-	if format != formatJSON {
-		s.writeProm(w, snap, format == formatOM)
-		return
-	}
-	payload := struct {
-		Engine      string   `json:"engine"`
-		Draining    bool     `json:"draining"`
-		Inflight    int      `json:"inflight"`
-		MaxInflight int      `json:"max_inflight"`
-		QueueDepth  int      `json:"queue_depth"`
-		Server      Counters `json:"server"`
-		Cache       struct {
-			Entries     int    `json:"entries"`
-			WarmEntries int    `json:"warm_entries"`
-			Hits        uint64 `json:"hits"`
-			Misses      uint64 `json:"misses"`
-			Coalesced   uint64 `json:"coalesced"`
-		} `json:"cache"`
-		Suite struct {
-			TraceMisses   uint64 `json:"trace_misses"`
-			TraceHits     uint64 `json:"trace_hits"`
-			Replays       uint64 `json:"replays"`
-			PipelineRuns  uint64 `json:"pipeline_runs"`
-			DedupedRuns   uint64 `json:"deduped_runs"`
-			LiveFallbacks uint64 `json:"live_fallbacks"`
-		} `json:"suite"`
-		LatencyUs HistSummary            `json:"latency_us"`
-		Spans     map[string]HistSummary `json:"spans,omitempty"`
-		Tracing   *telemetry.Metrics     `json:"tracing,omitempty"`
-		Sampling  *samplingJSON          `json:"sampling,omitempty"`
-	}{
-		Engine:      core.EngineVersion(),
-		Draining:    snap.draining,
-		Inflight:    snap.inflight,
-		MaxInflight: snap.maxInflight,
-		QueueDepth:  snap.queueDepth,
-		Server:      snap.c,
-		LatencyUs:   summarize(snap.latency),
-	}
-	payload.Cache.Entries = snap.cacheEntries
-	payload.Cache.WarmEntries = snap.warmEntries
-	payload.Cache.Hits = snap.cacheHits
-	payload.Cache.Misses = snap.cacheMisses
-	payload.Cache.Coalesced = snap.cacheCoalesced
-	payload.Suite.TraceMisses = snap.suite.TraceMisses
-	payload.Suite.TraceHits = snap.suite.TraceHits
-	payload.Suite.Replays = snap.suite.Replays
-	payload.Suite.PipelineRuns = snap.suite.PipelineRuns
-	payload.Suite.DedupedRuns = snap.suite.DedupedRuns
-	payload.Suite.LiveFallbacks = snap.suite.LiveFallbacks
-	if s.tel != nil {
-		payload.Tracing = &snap.tracing
-		payload.Sampling = &samplingJSON{
-			Kept:            snap.tracing.SampledKept,
-			Dropped:         snap.tracing.SampledDropped,
-			Retained:        snap.sampling.Retained,
-			KeptByPolicy:    policyMap(snap.sampling.KeptByPolicy),
-			EvictedByPolicy: policyMap(snap.sampling.EvictedByPolicy),
-		}
-		if len(snap.spanHists) > 0 {
-			payload.Spans = make(map[string]HistSummary, len(snap.spanHists))
-			for _, nh := range snap.spanHists {
-				payload.Spans[nh.Name] = summarize(nh.Hist)
-			}
-		}
-	}
-	writeJSON(w, http.StatusOK, payload)
-}
-
-// writeProm renders the snapshot as Prometheus exposition 0.0.4 or,
-// when om is set, OpenMetrics 1.0.0 with trace exemplars on the
-// histogram buckets. The name scheme follows the convention in
-// DESIGN.md §16: heliosd_ prefix, _total suffix on counters, base units
-// spelled out in the name. Both dialects pass telemetry's linter —
-// CI's telemetry-smoke job asserts exactly that, and in OpenMetrics
-// mode additionally that every exemplar resolves via /tracez.
-func (s *Server) writeProm(w http.ResponseWriter, snap metricsSnapshot, om bool) {
-	var p *telemetry.PromWriter
-	if om {
-		w.Header().Set("Content-Type", telemetry.OpenMetricsContentType)
-		p = telemetry.NewOpenMetricsWriter(w)
-	} else {
-		w.Header().Set("Content-Type", telemetry.PromContentType)
-		p = telemetry.NewPromWriter(w)
-	}
-	p.Counter("heliosd_requests_admitted_total", "Requests admitted past the bounded queue.", snap.c.Admitted)
-	p.CounterVec("heliosd_requests_rejected_total", "Requests refused at admission, by reason.", []telemetry.LabeledValue{
-		{Labels: []telemetry.Label{{Name: "reason", Value: "overload"}}, Value: snap.c.RejectedOverload},
-		{Labels: []telemetry.Label{{Name: "reason", Value: "draining"}}, Value: snap.c.RejectedDraining},
-	})
-	p.CounterVec("heliosd_requests_failed_total", "Admitted requests that failed, by error kind.", []telemetry.LabeledValue{
-		{Labels: []telemetry.Label{{Name: "kind", Value: "bad_request"}}, Value: snap.c.BadRequests},
-		{Labels: []telemetry.Label{{Name: "kind", Value: "oversized"}}, Value: snap.c.Oversized},
-		{Labels: []telemetry.Label{{Name: "kind", Value: "deadline"}}, Value: snap.c.DeadlineExpired},
-		{Labels: []telemetry.Label{{Name: "kind", Value: "canceled"}}, Value: snap.c.Canceled},
-		{Labels: []telemetry.Label{{Name: "kind", Value: "engine_fault"}}, Value: snap.c.EngineFaults},
-	})
-	p.Counter("heliosd_requests_completed_total", "Requests that returned 200.", snap.c.Completed)
-	p.Counter("heliosd_panics_recovered_total", "Handler panics converted to structured 500s.", snap.c.PanicsRecovered)
-	p.Counter("heliosd_manifests_written_total", "Per-run manifests written.", snap.c.ManifestsWritten)
-	p.Counter("heliosd_manifest_errors_total", "Manifest writes that failed.", snap.c.ManifestErrors)
-	p.Gauge("heliosd_draining", "1 while the server refuses new work.", b2f(snap.draining))
-	p.Gauge("heliosd_inflight_requests", "Requests currently admitted.", float64(snap.inflight))
-	p.Gauge("heliosd_inflight_requests_max", "Admission high-water mark.", float64(snap.maxInflight))
-	p.Gauge("heliosd_queue_depth", "Configured admission bound.", float64(snap.queueDepth))
-	p.Gauge("heliosd_cache_entries", "Results resident in the result cache.", float64(snap.cacheEntries))
-	p.Gauge("heliosd_cache_warm_entries", "Results restored from the cache directory at boot.", float64(snap.warmEntries))
-	p.Counter("heliosd_cache_hits_total", "Result-cache hits.", snap.cacheHits)
-	p.Counter("heliosd_cache_misses_total", "Result-cache misses.", snap.cacheMisses)
-	p.Counter("heliosd_cache_coalesced_total", "Requests that waited on an identical in-flight run.", snap.cacheCoalesced)
-	p.Counter("heliosd_suite_trace_hits_total", "Record-once trace cache hits.", snap.suite.TraceHits)
-	p.Counter("heliosd_suite_trace_misses_total", "Record-once trace cache misses.", snap.suite.TraceMisses)
-	p.Counter("heliosd_suite_replays_total", "Replay runs off cached recordings.", snap.suite.Replays)
-	p.Counter("heliosd_suite_pipeline_runs_total", "Full pipeline simulations.", snap.suite.PipelineRuns)
-	p.Counter("heliosd_suite_deduped_runs_total", "Suite runs deduplicated by singleflight.", snap.suite.DedupedRuns)
-	p.Counter("heliosd_suite_live_fallbacks_total", "Corrupt recordings degraded to live re-emulation.", snap.suite.LiveFallbacks)
-	// keep filters exemplars to currently retained traces at exposition
-	// time, so every emitted trace_id deep-links into /tracez. Nil tel
-	// (or 0.0.4 mode) emits no exemplars at all.
-	keep := func(id uint64) bool { return s.tel.Retained(id) }
-	p.HistogramEx("heliosd_request_duration_microseconds", "Completed-request wall time.",
-		snap.latency, telemetry.Exemplars{Set: &snap.latencyEx, Keep: keep})
-	if s.tel != nil {
-		t := snap.tracing
-		p.Counter("heliosd_traces_started_total", "Request traces started.", t.TracesStarted)
-		p.Counter("heliosd_traces_finished_total", "Request traces finished.", t.TracesFinished)
-		p.Counter("heliosd_spans_started_total", "Spans started.", t.SpansStarted)
-		p.Counter("heliosd_spans_ended_total", "Spans ended.", t.SpansEnded)
-		p.Counter("heliosd_span_double_ends_total", "Duplicate span Ends (contract violations).", t.SpanDoubleEnds)
-		p.Counter("heliosd_spans_dropped_total", "Spans dropped on finished traces.", t.SpansDropped)
-		p.Counter("heliosd_trace_ring_evicted_total", "Finished traces evicted from the /tracez ring.", t.RingEvicted)
-		p.Counter("heliosd_trace_export_errors_total", "Trace/NDJSON export failures.", t.ExportErrors)
-		p.Counter("heliosd_traces_sampled_kept_total", "Finished traces the tail sampler kept.", t.SampledKept)
-		p.Counter("heliosd_traces_sampled_dropped_total", "Finished traces the tail sampler dropped.", t.SampledDropped)
-		p.CounterVec("heliosd_trace_ring_admitted_total", "Ring admissions by deciding sampling policy.",
-			policyRows(snap.sampling.KeptByPolicy))
-		p.CounterVec("heliosd_trace_ring_evictions_total", "Ring evictions by the evicted trace's admitting policy.",
-			policyRows(snap.sampling.EvictedByPolicy))
-		p.Gauge("heliosd_trace_ring_retained", "Finished traces currently retained for /tracez.", float64(snap.sampling.Retained))
-		if len(snap.spanHists) > 0 {
-			exByName := make(map[string]*telemetry.ExemplarSet, len(snap.spanEx))
-			for i := range snap.spanEx {
-				exByName[snap.spanEx[i].Name] = &snap.spanEx[i].Set
-			}
-			series := make([]telemetry.LabeledHist, 0, len(snap.spanHists))
-			for _, nh := range snap.spanHists {
-				series = append(series, telemetry.LabeledHist{
-					Labels: []telemetry.Label{{Name: "span", Value: nh.Name}},
-					Hist:   nh.Hist,
-					Ex:     telemetry.Exemplars{Set: exByName[nh.Name], Keep: keep},
-				})
-			}
-			p.HistogramVec("heliosd_span_duration_microseconds", "Span wall time, labeled by span name.", series)
-		}
-	}
-	p.Close()
-	if err := p.Err(); err != nil {
-		s.logf("serve: prometheus exposition: %v", err)
-	}
-}
-
-// policyRows renders per-policy sampling counts as labeled samples,
-// already sorted by policy name (Tracer.Sampling guarantees it).
-func policyRows(rows []telemetry.PolicyCount) []telemetry.LabeledValue {
-	out := make([]telemetry.LabeledValue, 0, len(rows))
-	for _, r := range rows {
-		out = append(out, telemetry.LabeledValue{
-			Labels: []telemetry.Label{{Name: "policy", Value: r.Policy}},
-			Value:  r.Count,
-		})
-	}
-	return out
-}
-
-func b2f(v bool) float64 {
-	if v {
-		return 1
-	}
-	return 0
 }
 
 // handleTracez serves the tracer's retained ring of finished request

@@ -498,27 +498,26 @@ func TestMetricz(t *testing.T) {
 	}
 	defer resp.Body.Close()
 	var m struct {
-		Server Counters `json:"server"`
-		Cache  struct {
-			Entries int    `json:"entries"`
-			Hits    uint64 `json:"hits"`
-			Misses  uint64 `json:"misses"`
-		} `json:"cache"`
-		LatencyUs struct {
+		Admitted     uint64 `json:"heliosd_requests_admitted"`
+		Completed    uint64 `json:"heliosd_requests_completed"`
+		CacheEntries int    `json:"heliosd_cache_entries"`
+		CacheHits    uint64 `json:"heliosd_cache_hits"`
+		CacheMisses  uint64 `json:"heliosd_cache_misses"`
+		Latency      struct {
 			Count uint64 `json:"count"`
-		} `json:"latency_us"`
+		} `json:"heliosd_request_duration_microseconds"`
 	}
 	if err := json.NewDecoder(resp.Body).Decode(&m); err != nil {
 		t.Fatal(err)
 	}
-	if m.Server.Admitted != 2 || m.Server.Completed != 2 {
-		t.Errorf("admitted/completed = %d/%d, want 2/2", m.Server.Admitted, m.Server.Completed)
+	if m.Admitted != 2 || m.Completed != 2 {
+		t.Errorf("admitted/completed = %d/%d, want 2/2", m.Admitted, m.Completed)
 	}
-	if m.Cache.Entries != 1 || m.Cache.Hits != 1 || m.Cache.Misses != 1 {
-		t.Errorf("cache = %+v, want 1 entry, 1 hit, 1 miss", m.Cache)
+	if m.CacheEntries != 1 || m.CacheHits != 1 || m.CacheMisses != 1 {
+		t.Errorf("cache entries/hits/misses = %d/%d/%d, want 1/1/1", m.CacheEntries, m.CacheHits, m.CacheMisses)
 	}
-	if m.LatencyUs.Count != 2 {
-		t.Errorf("latency count = %d, want 2", m.LatencyUs.Count)
+	if m.Latency.Count != 2 {
+		t.Errorf("latency count = %d, want 2", m.Latency.Count)
 	}
 }
 

@@ -9,6 +9,11 @@ import (
 	"io"
 	"net/http"
 	"os"
+	"path/filepath"
+	"reflect"
+	"slices"
+	"sort"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -287,8 +292,9 @@ func firstLine(b []byte) string {
 }
 
 // TestMetriczContentNegotiation checks both /metricz renderings: the
-// JSON document keeps its shape (with the histogram summary and, with
-// telemetry on, span summaries), and the Prometheus form passes the
+// JSON document carries the histogram summaries (request latency and,
+// with telemetry on, per-span) and the tracing counters, and the
+// OpenMetrics form — by query parameter or Accept header — passes the
 // repo's own exposition linter with the expected families present.
 func TestMetriczContentNegotiation(t *testing.T) {
 	_, ts := newTestServer(t, telemetryConfig())
@@ -297,48 +303,42 @@ func TestMetriczContentNegotiation(t *testing.T) {
 	postJSON(t, ts.URL+"/v1/run", req)
 
 	// Default: JSON with the HistSummary latency shape.
-	resp, err := http.Get(ts.URL + "/metricz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
 	var doc struct {
-		LatencyUs HistSummary            `json:"latency_us"`
-		Spans     map[string]HistSummary `json:"spans"`
-		Tracing   *telemetry.Metrics     `json:"tracing"`
+		Latency        telemetry.HistSummary            `json:"heliosd_request_duration_microseconds"`
+		Spans          map[string]telemetry.HistSummary `json:"heliosd_span_duration_microseconds"`
+		TracesFinished *uint64                          `json:"heliosd_traces_finished"`
 	}
-	if err := json.Unmarshal(body, &doc); err != nil {
+	if err := json.Unmarshal(getBody(t, ts.URL+"/metricz", ""), &doc); err != nil {
 		t.Fatalf("metricz JSON: %v", err)
 	}
-	if doc.LatencyUs.Count != 2 {
-		t.Errorf("latency count = %d, want 2", doc.LatencyUs.Count)
+	if doc.Latency.Count != 2 {
+		t.Errorf("latency count = %d, want 2", doc.Latency.Count)
 	}
-	if doc.LatencyUs.P99 < doc.LatencyUs.P50 {
-		t.Errorf("P99 %d < P50 %d", doc.LatencyUs.P99, doc.LatencyUs.P50)
+	if doc.Latency.P99 < doc.Latency.P50 {
+		t.Errorf("P99 %d < P50 %d", doc.Latency.P99, doc.Latency.P50)
 	}
-	if doc.Tracing == nil || doc.Tracing.TracesFinished != 2 {
-		t.Errorf("tracing block = %+v, want 2 finished traces", doc.Tracing)
+	if doc.TracesFinished == nil || *doc.TracesFinished != 2 {
+		t.Errorf("heliosd_traces_finished = %v, want 2 finished traces", doc.TracesFinished)
 	}
 	if _, ok := doc.Spans["admission"]; !ok {
-		t.Errorf("spans block lacks admission summary: %v", doc.Spans)
+		t.Errorf("span histograms lack an admission summary: %v", doc.Spans)
 	}
 
-	// Prometheus negotiation via query param and via Accept header.
-	for _, u := range []string{ts.URL + "/metricz?format=prometheus", ts.URL + "/metricz"} {
-		preq, _ := http.NewRequest("GET", u, nil)
-		preq.Header.Set("Accept", "text/plain")
-		presp, err := http.DefaultClient.Do(preq)
+	// OpenMetrics negotiation via query param and via Accept header.
+	for _, u := range []string{ts.URL + "/metricz?format=openmetrics", ts.URL + "/metricz"} {
+		oreq, _ := http.NewRequest("GET", u, nil)
+		oreq.Header.Set("Accept", "application/openmetrics-text")
+		oresp, err := http.DefaultClient.Do(oreq)
 		if err != nil {
 			t.Fatal(err)
 		}
-		pbody, _ := io.ReadAll(presp.Body)
-		presp.Body.Close()
-		if ct := presp.Header.Get("Content-Type"); ct != telemetry.PromContentType {
-			t.Fatalf("prometheus Content-Type = %q", ct)
+		obody, _ := io.ReadAll(oresp.Body)
+		oresp.Body.Close()
+		if ct := oresp.Header.Get("Content-Type"); ct != telemetry.OpenMetricsContentType {
+			t.Fatalf("openmetrics Content-Type = %q", ct)
 		}
-		if err := telemetry.LintExposition(strings.NewReader(string(pbody))); err != nil {
-			t.Fatalf("exposition lint: %v\n%s", err, pbody)
+		if err := telemetry.LintExposition(strings.NewReader(string(obody)), nil); err != nil {
+			t.Fatalf("exposition lint: %v\n%s", err, obody)
 		}
 		for _, fam := range []string{
 			"heliosd_requests_admitted_total",
@@ -346,15 +346,15 @@ func TestMetriczContentNegotiation(t *testing.T) {
 			"heliosd_span_duration_microseconds_bucket",
 			"heliosd_spans_started_total",
 		} {
-			if !strings.Contains(string(pbody), fam) {
+			if !strings.Contains(string(obody), fam) {
 				t.Errorf("exposition lacks %s", fam)
 			}
 		}
 	}
 
-	// format=json forces JSON even under a text Accept header.
+	// format=json forces JSON even under an OpenMetrics Accept header.
 	jreq, _ := http.NewRequest("GET", ts.URL+"/metricz?format=json", nil)
-	jreq.Header.Set("Accept", "text/plain")
+	jreq.Header.Set("Accept", "application/openmetrics-text")
 	jresp, err := http.DefaultClient.Do(jreq)
 	if err != nil {
 		t.Fatal(err)
@@ -367,22 +367,159 @@ func TestMetriczContentNegotiation(t *testing.T) {
 }
 
 // TestMetriczPromDisabledTelemetry: the exposition stays lintable with
-// telemetry off — the span families are simply absent.
+// telemetry off, and the span families are absent from both forms.
 func TestMetriczPromDisabledTelemetry(t *testing.T) {
 	_, ts := newTestServer(t, testConfig())
 	postJSON(t, ts.URL+"/v1/run", RunRequest{Workload: "crc32", Mode: "Helios"})
-	resp, err := http.Get(ts.URL + "/metricz?format=prometheus")
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if err := telemetry.LintExposition(strings.NewReader(string(body))); err != nil {
+	body := getBody(t, ts.URL+"/metricz?format=openmetrics", "")
+	if err := telemetry.LintExposition(strings.NewReader(string(body)), nil); err != nil {
 		t.Fatalf("exposition lint: %v", err)
 	}
 	if strings.Contains(string(body), "heliosd_span_duration") {
 		t.Error("telemetry-off exposition advertises span histograms")
 	}
+	var doc map[string]json.RawMessage
+	if err := json.Unmarshal(getBody(t, ts.URL+"/metricz", ""), &doc); err != nil {
+		t.Fatal(err)
+	}
+	for key := range doc {
+		if strings.HasPrefix(key, "heliosd_span") || strings.HasPrefix(key, "heliosd_trace") {
+			t.Errorf("telemetry-off JSON carries tracing family %s", key)
+		}
+	}
+}
+
+// TestMetriczFormsDeclareSameFamilies is the drift guard between the
+// two /metricz forms: after a hit, a miss and an error on a
+// telemetry-on server, the JSON document's keys are exactly the
+// families the OpenMetrics exposition declares.
+func TestMetriczFormsDeclareSameFamilies(t *testing.T) {
+	_, ts := newTestServer(t, telemetryConfig())
+	req := RunRequest{Workload: "crc32", Mode: "Helios"}
+	postJSON(t, ts.URL+"/v1/run", req)
+	postJSON(t, ts.URL+"/v1/run", req)
+	postJSON(t, ts.URL+"/v1/run", RunRequest{Workload: "no_such_kernel"})
+
+	var doc map[string]json.RawMessage
+	if err := json.Unmarshal(getBody(t, ts.URL+"/metricz", ""), &doc); err != nil {
+		t.Fatal(err)
+	}
+	var jsonKeys, omFamilies []string
+	for key := range doc {
+		jsonKeys = append(jsonKeys, key)
+	}
+	om := getBody(t, ts.URL+"/metricz", "application/openmetrics-text")
+	for _, line := range strings.Split(string(om), "\n") {
+		if rest, ok := strings.CutPrefix(line, "# TYPE "); ok {
+			omFamilies = append(omFamilies, strings.Fields(rest)[0])
+		}
+	}
+	sort.Strings(jsonKeys)
+	sort.Strings(omFamilies)
+	if !slices.Equal(jsonKeys, omFamilies) {
+		t.Errorf("JSON keys and OpenMetrics families differ:\njson: %v\nopenmetrics: %v", jsonKeys, omFamilies)
+	}
+	if !slices.Contains(omFamilies, "heliosd_span_duration_microseconds") {
+		t.Errorf("telemetry-on exposition lacks the span histograms: %v", omFamilies)
+	}
+}
+
+// TestMetricsTableCarriesEveryCounter sets every field of
+// serve.Counters and telemetry.Metrics, and the six deterministic
+// core.Metrics counters, to distinct values and finds each value in
+// both /metricz renderings, so a counter added without a table entry
+// fails here.
+func TestMetricsTableCarriesEveryCounter(t *testing.T) {
+	snap := metricsSnapshot{traced: true}
+	want := map[string]string{} // rendered value → field
+	next := uint64(1000)
+	for _, v := range []reflect.Value{
+		reflect.ValueOf(&snap.c).Elem(),
+		reflect.ValueOf(&snap.tracing).Elem(),
+		reflect.ValueOf(&snap.suite).Elem(),
+	} {
+		for i := 0; i < v.NumField(); i++ {
+			if f := v.Field(i); f.Kind() == reflect.Uint64 {
+				next++
+				f.SetUint(next)
+				want[strconv.FormatUint(next, 10)] = v.Type().Name() + "." + v.Type().Field(i).Name
+			}
+		}
+	}
+	fams := snap.families()
+
+	b, err := json.Marshal(telemetry.MetricsJSON(fams))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dec := json.NewDecoder(strings.NewReader(string(b)))
+	dec.UseNumber()
+	var doc any
+	if err := dec.Decode(&doc); err != nil {
+		t.Fatal(err)
+	}
+	inJSON := map[string]bool{}
+	jsonNumbers(doc, inJSON)
+
+	var om strings.Builder
+	if err := telemetry.WriteOpenMetrics(&om, fams); err != nil {
+		t.Fatal(err)
+	}
+	inOM := map[string]bool{}
+	for _, line := range strings.Split(om.String(), "\n") {
+		if line == "" || strings.HasPrefix(line, "#") {
+			continue
+		}
+		sample, _, _ := strings.Cut(line, " # ")
+		fields := strings.Fields(sample)
+		inOM[fields[len(fields)-1]] = true
+	}
+	for value, field := range want {
+		if !inJSON[value] {
+			t.Errorf("%s = %s is missing from the JSON form", field, value)
+		}
+		if !inOM[value] {
+			t.Errorf("%s = %s is missing from the OpenMetrics form", field, value)
+		}
+	}
+}
+
+// jsonNumbers collects every number in a decoded JSON document.
+func jsonNumbers(v any, into map[string]bool) {
+	switch v := v.(type) {
+	case json.Number:
+		into[v.String()] = true
+	case map[string]any:
+		for _, e := range v {
+			jsonNumbers(e, into)
+		}
+	}
+}
+
+// getBody GETs url with an optional Accept header and returns the body,
+// failing the test unless the status is 200.
+func getBody(t *testing.T, url, accept string) []byte {
+	t.Helper()
+	req, err := http.NewRequest("GET", url, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if accept != "" {
+		req.Header.Set("Accept", accept)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != 200 {
+		t.Fatalf("GET %s: status %d: %s", url, resp.StatusCode, body)
+	}
+	return body
 }
 
 // TestTraceDirExport: with TraceDir set every finished request trace
@@ -410,6 +547,53 @@ func TestTraceDirExport(t *testing.T) {
 	}
 	if _, ok := doc["traceEvents"]; !ok {
 		t.Error("exported trace lacks traceEvents")
+	}
+}
+
+// dropAll is a sampler that keeps no trace.
+type dropAll struct{}
+
+func (dropAll) Sample(telemetry.TraceInfo) telemetry.SampleVerdict {
+	return telemetry.SampleVerdict{Policy: "none"}
+}
+
+// TestSamplerGovernsDiskSinks: with a sampler that drops every trace,
+// neither disk sink — the TraceDir files nor the SpanLog NDJSON —
+// receives anything, while /metricz still counts every finished trace.
+func TestSamplerGovernsDiskSinks(t *testing.T) {
+	cfg := telemetryConfig()
+	cfg.Sampler = dropAll{}
+	cfg.TraceDir = t.TempDir()
+	spanLog := filepath.Join(t.TempDir(), "spans.ndjson")
+	f, err := os.Create(spanLog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	cfg.SpanLog = f
+	_, ts := newTestServer(t, cfg)
+	postJSON(t, ts.URL+"/v1/run", RunRequest{Workload: "crc32", Mode: "Helios"})
+	postJSON(t, ts.URL+"/v1/run", RunRequest{Workload: "no_such_kernel"})
+
+	entries, err := os.ReadDir(cfg.TraceDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 0 {
+		t.Errorf("TraceDir has %d files for dropped traces, want 0", len(entries))
+	}
+	if b, err := os.ReadFile(spanLog); err != nil || len(b) != 0 {
+		t.Errorf("span log holds %d bytes for dropped traces (err %v), want 0", len(b), err)
+	}
+	var doc struct {
+		Finished uint64 `json:"heliosd_traces_finished"`
+		Dropped  uint64 `json:"heliosd_traces_sampled_dropped"`
+	}
+	if err := json.Unmarshal(getBody(t, ts.URL+"/metricz", ""), &doc); err != nil {
+		t.Fatal(err)
+	}
+	if doc.Finished != 2 || doc.Dropped != 2 {
+		t.Errorf("finished/dropped traces = %d/%d, want 2/2", doc.Finished, doc.Dropped)
 	}
 }
 

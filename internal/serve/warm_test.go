@@ -17,7 +17,7 @@ import (
 // first server computes results into -cache-dir manifests, a second
 // server booted on the same directory serves them as cache hits
 // without re-simulating, and the restored count is visible on
-// /metricz (JSON warm_entries and the Prometheus gauge).
+// /metricz (the heliosd_cache_warm_entries gauge in both forms).
 func TestCacheWarmRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 
@@ -62,18 +62,16 @@ func TestCacheWarmRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	var doc struct {
-		Cache struct {
-			WarmEntries int `json:"warm_entries"`
-		} `json:"cache"`
+		WarmEntries int `json:"heliosd_cache_warm_entries"`
 	}
 	if err := json.NewDecoder(mresp.Body).Decode(&doc); err != nil {
 		t.Fatal(err)
 	}
 	mresp.Body.Close()
-	if doc.Cache.WarmEntries != 2 {
-		t.Errorf("metricz warm_entries = %d, want 2", doc.Cache.WarmEntries)
+	if doc.WarmEntries != 2 {
+		t.Errorf("metricz heliosd_cache_warm_entries = %d, want 2", doc.WarmEntries)
 	}
-	presp, err := http.Get(tsB.URL + "/metricz?format=prometheus")
+	presp, err := http.Get(tsB.URL + "/metricz?format=openmetrics")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +81,7 @@ func TestCacheWarmRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !strings.Contains(string(pbody), "heliosd_cache_warm_entries 2") {
-		t.Errorf("prometheus exposition lacks heliosd_cache_warm_entries 2:\n%s", pbody)
+		t.Errorf("OpenMetrics exposition lacks heliosd_cache_warm_entries 2:\n%s", pbody)
 	}
 }
 

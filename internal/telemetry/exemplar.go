@@ -13,53 +13,46 @@ type Exemplar struct {
 	TSUnixUS int64
 }
 
-// ExemplarSet is a fixed per-bucket exemplar sidecar aligned with a
-// stats.Histogram: one slot per histogram bucket, latest observation
-// wins. The zero value is ready to use and copies by value, mirroring
-// stats.Histogram. Callers synchronize: the tracer observes under its
-// own mutex, serve under s.mu.
-type ExemplarSet struct {
-	Slots [stats.NumHistBuckets]Exemplar
+// Histogram is a stats.Histogram that carries its own exemplars: one
+// slot per histogram bucket, latest observation wins. The zero value is
+// ready to use and copies by value, mirroring stats.Histogram. Callers
+// synchronize: the tracer observes under its own mutex, serve under
+// s.mu.
+type Histogram struct {
+	stats.Histogram
+	Exemplars [stats.NumHistBuckets]Exemplar
 }
 
-// Observe records v against trace traceID. A zero traceID (no active
-// trace) is ignored, so untraced observations never produce dangling
-// exemplars.
-func (e *ExemplarSet) Observe(v, traceID uint64, tsUnixUS int64) {
-	if e == nil || traceID == 0 {
-		return
+// Observe folds v into the histogram and, when traceID is nonzero,
+// makes it the exemplar of v's bucket. A zero traceID (no trace, or one
+// the sampler dropped) records the value only, so untraced observations
+// never produce dangling exemplars.
+func (h *Histogram) Observe(v, traceID uint64, tsUnixUS int64) {
+	h.Histogram.Observe(v)
+	if traceID != 0 {
+		h.Exemplars[stats.HistBucketOf(v)] = Exemplar{TraceID: traceID, Value: v, TSUnixUS: tsUnixUS}
 	}
-	e.Slots[stats.HistBucketOf(v)] = Exemplar{TraceID: traceID, Value: v, TSUnixUS: tsUnixUS}
 }
 
-// Pick returns the newest exemplar in bucket slots [lo, hi] that
-// satisfies keep (nil keep accepts everything). Exposition uses it to
-// collapse the underlying fine buckets onto the strided `le` bounds
-// while filtering out traces the retention ring has since evicted —
-// every emitted exemplar must resolve via /tracez.
-func (e *ExemplarSet) Pick(lo, hi int, keep func(traceID uint64) bool) (Exemplar, bool) {
-	if e == nil {
-		return Exemplar{}, false
+// KeepExemplars clears every exemplar whose trace keep rejects. heliosd
+// passes Tracer.Retained, so each exemplar left resolves via /tracez.
+func (h *Histogram) KeepExemplars(keep func(traceID uint64) bool) {
+	for i, ex := range h.Exemplars {
+		if ex.TraceID != 0 && !keep(ex.TraceID) {
+			h.Exemplars[i] = Exemplar{}
+		}
 	}
-	if lo < 0 {
-		lo = 0
-	}
-	if hi >= stats.NumHistBuckets {
-		hi = stats.NumHistBuckets - 1
-	}
+}
+
+// newestExemplar returns the newest exemplar in bucket slots [lo, hi].
+// Exposition uses it to collapse the underlying fine buckets onto the
+// strided `le` bounds.
+func (h *Histogram) newestExemplar(lo, hi int) (Exemplar, bool) {
 	var best Exemplar
 	found := false
-	for i := lo; i <= hi; i++ {
-		ex := e.Slots[i]
-		if ex.TraceID == 0 {
-			continue
-		}
-		if keep != nil && !keep(ex.TraceID) {
-			continue
-		}
-		if !found || ex.TSUnixUS >= best.TSUnixUS {
-			best = ex
-			found = true
+	for _, ex := range h.Exemplars[lo : hi+1] {
+		if ex.TraceID != 0 && (!found || ex.TSUnixUS >= best.TSUnixUS) {
+			best, found = ex, true
 		}
 	}
 	return best, found

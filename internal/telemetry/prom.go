@@ -13,141 +13,44 @@ import (
 	"helios/internal/stats"
 )
 
-// PromWriter renders Prometheus text exposition format 0.0.4
-// (`text/plain; version=0.0.4`) or, via NewOpenMetricsWriter,
-// OpenMetrics 1.0.0: one HELP/TYPE header per metric family followed
-// by its samples. Callers emit families in order; the writer tracks
-// seen names and refuses a family that reappears after another
-// family's samples (promtool rejects ungrouped families). Errors
-// latch: the first write or format error is kept and later calls
-// no-op.
-//
-// The OpenMetrics dialect differs in three ways, all handled here so
-// call sites are format-agnostic: counter families are TYPE-declared
-// without the `_total` suffix (samples keep it), histogram bucket
-// samples may carry `# {trace_id="..."} value timestamp` exemplars,
-// and the exposition must end with `# EOF` (Close emits it).
-type PromWriter struct {
-	w    io.Writer
-	om   bool
-	err  error
-	seen map[string]bool
-	last string
+// Family is one metric family, declared once: WriteOpenMetrics renders a
+// table of families as the OpenMetrics exposition and MetricsJSON as the
+// JSON document, so the two /metricz forms cannot drift apart.
+type Family struct {
+	// Name is the family name: heliosd_ prefix, snake_case, base unit
+	// spelled out. A counter's samples carry it with the _total suffix.
+	Name string
+	Type string // "counter", "gauge" or "histogram"
+	Help string
+	// Label names the one label that splits a labelled family into
+	// series. An unlabelled family (Label "") carries exactly one series.
+	Label  string
+	Series []Series
 }
 
-// PromContentType is the Content-Type of the classic 0.0.4 exposition.
-const PromContentType = "text/plain; version=0.0.4; charset=utf-8"
+// Series is one value of a family: Value for a counter or gauge, Hist
+// for a histogram. LabelValue is the value of the family's Label.
+type Series struct {
+	LabelValue string
+	Value      uint64
+	Hist       *Histogram
+}
+
+// Counter declares an unlabelled counter family.
+func Counter(name, help string, v uint64) Family {
+	return Family{Name: name, Type: "counter", Help: help, Series: []Series{{Value: v}}}
+}
+
+// Gauge declares an unlabelled gauge family.
+func Gauge(name, help string, v uint64) Family {
+	return Family{Name: name, Type: "gauge", Help: help, Series: []Series{{Value: v}}}
+}
 
 // OpenMetricsContentType is the Content-Type of the OpenMetrics
-// exposition — the version heliosd advertises when exemplars are on.
+// exposition.
 const OpenMetricsContentType = "application/openmetrics-text; version=1.0.0; charset=utf-8"
 
 var promNameRe = regexp.MustCompile(`^[a-zA-Z_:][a-zA-Z0-9_:]*$`)
-
-// NewPromWriter wraps w in the classic 0.0.4 dialect; exemplars passed
-// to HistogramEx/HistogramVec are silently dropped (0.0.4 has no
-// exemplar syntax).
-func NewPromWriter(w io.Writer) *PromWriter {
-	return &PromWriter{w: w, seen: make(map[string]bool)}
-}
-
-// NewOpenMetricsWriter wraps w in the OpenMetrics 1.0.0 dialect.
-// Callers must Close() the writer to terminate the exposition with
-// `# EOF` (LintExposition enforces it).
-func NewOpenMetricsWriter(w io.Writer) *PromWriter {
-	return &PromWriter{w: w, om: true, seen: make(map[string]bool)}
-}
-
-// Close terminates an OpenMetrics exposition. No-op in 0.0.4 mode.
-func (p *PromWriter) Close() {
-	if p.om {
-		p.printf("# EOF\n")
-	}
-}
-
-// Err reports the latched error, if any.
-func (p *PromWriter) Err() error { return p.err }
-
-// Label is one name="value" sample label.
-type Label struct {
-	Name  string
-	Value string
-}
-
-func (p *PromWriter) header(name, typ, help string) {
-	if p.err != nil {
-		return
-	}
-	if !promNameRe.MatchString(name) {
-		p.err = fmt.Errorf("telemetry: invalid metric name %q", name)
-		return
-	}
-	if p.seen[name] {
-		p.err = fmt.Errorf("telemetry: metric family %q emitted twice", name)
-		return
-	}
-	p.seen[name] = true
-	p.last = name
-	fam := name
-	if p.om && typ == "counter" {
-		// OpenMetrics declares the counter family without _total; the
-		// samples keep the suffix.
-		fam = strings.TrimSuffix(name, "_total")
-	}
-	p.printf("# HELP %s %s\n# TYPE %s %s\n", fam, escapeHelp(help), fam, typ)
-}
-
-func (p *PromWriter) sample(name string, labels []Label, value string) {
-	if p.err != nil {
-		return
-	}
-	var sb strings.Builder
-	sb.WriteString(name)
-	if len(labels) > 0 {
-		sb.WriteByte('{')
-		for i, l := range labels {
-			if i > 0 {
-				sb.WriteByte(',')
-			}
-			fmt.Fprintf(&sb, "%s=%q", l.Name, l.Value)
-		}
-		sb.WriteByte('}')
-	}
-	p.printf("%s %s\n", sb.String(), value)
-}
-
-func (p *PromWriter) printf(format string, args ...any) {
-	if p.err != nil {
-		return
-	}
-	_, p.err = fmt.Fprintf(p.w, format, args...)
-}
-
-// Counter emits a single-sample counter family.
-func (p *PromWriter) Counter(name, help string, v uint64, labels ...Label) {
-	p.header(name, "counter", help)
-	p.sample(name, labels, strconv.FormatUint(v, 10))
-}
-
-// CounterVec emits one counter family with one sample per label set.
-func (p *PromWriter) CounterVec(name, help string, samples []LabeledValue) {
-	p.header(name, "counter", help)
-	for _, s := range samples {
-		p.sample(name, s.Labels, strconv.FormatUint(s.Value, 10))
-	}
-}
-
-// LabeledValue is one sample of a CounterVec/GaugeVec family.
-type LabeledValue struct {
-	Labels []Label
-	Value  uint64
-}
-
-// Gauge emits a single-sample gauge family.
-func (p *PromWriter) Gauge(name, help string, v float64, labels ...Label) {
-	p.header(name, "gauge", help)
-	p.sample(name, labels, strconv.FormatFloat(v, 'g', -1, 64))
-}
 
 // histBucketStride picks which stats.Histogram bucket boundaries become
 // `le` bounds: every 4th boundary from 15 up (one per octave), which
@@ -155,91 +58,82 @@ func (p *PromWriter) Gauge(name, help string, v float64, labels ...Label) {
 // exposition never interpolates.
 const histBucketStride = 4
 
-// Histogram emits h as a Prometheus histogram family in base units of
-// the caller's choosing (heliosd uses microseconds and says so in the
-// metric name, per the naming convention in DESIGN.md §16). Samples
-// clamped into the last bucket by the 2^24 geometry cap surface in the
-// final finite bucket, so the +Inf bucket always equals _count.
-func (p *PromWriter) Histogram(name, help string, h stats.Histogram, labels ...Label) {
-	p.header(name, "histogram", help)
-	p.histSeries(name, labels, h, Exemplars{})
-}
-
-// Exemplars attaches an ExemplarSet to a histogram emission. Keep, when
-// non-nil, is the retention filter: exemplars whose trace it rejects
-// are skipped, so a bucket never links to a trace /tracez has evicted.
-// Ignored entirely in 0.0.4 mode.
-type Exemplars struct {
-	Set  *ExemplarSet
-	Keep func(traceID uint64) bool
-}
-
-// HistogramEx is Histogram plus per-bucket exemplars (OpenMetrics mode
-// only). Each exposed `le` bucket carries the newest retained exemplar
-// among the underlying fine buckets it covers.
-func (p *PromWriter) HistogramEx(name, help string, h stats.Histogram, ex Exemplars, labels ...Label) {
-	p.header(name, "histogram", help)
-	p.histSeries(name, labels, h, ex)
-}
-
-// LabeledHist is one series of a HistogramVec family. Ex is optional
-// and only consulted in OpenMetrics mode.
-type LabeledHist struct {
-	Labels []Label
-	Hist   stats.Histogram
-	Ex     Exemplars
-}
-
-// HistogramVec emits one histogram family with one bucket series per
-// label set (heliosd's span-duration histograms label by span name).
-func (p *PromWriter) HistogramVec(name, help string, series []LabeledHist) {
-	p.header(name, "histogram", help)
-	for _, s := range series {
-		p.histSeries(name, s.Labels, s.Hist, s.Ex)
-	}
-}
-
-func (p *PromWriter) histSeries(name string, labels []Label, h stats.Histogram, ex Exemplars) {
-	var cum uint64
-	prev := -1 // first exposed bucket covers fine buckets [0, 15]
-	i := 0
-	for i < stats.NumHistBuckets {
-		cum += h.Buckets[i]
-		if i >= 15 && (i-15)%histBucketStride == 0 {
-			p.bucketSample(name, labels, strconv.FormatUint(stats.HistBucketBound(i), 10), cum, p.pickExemplar(ex, prev+1, i))
-			prev = i
+// WriteOpenMetrics renders fams as one OpenMetrics 1.0.0 exposition: a
+// HELP and TYPE header per family, then its samples, then `# EOF`.
+// Histogram samples clamped into the last bucket by the 2^24 geometry
+// cap surface in the final finite bucket, so the +Inf bucket always
+// equals _count; each exposed bucket carries the newest exemplar among
+// the fine buckets it covers as `# {trace_id="…"} value timestamp`. A
+// table with an invalid or repeated name or an unknown type is an
+// error, and nothing is written.
+func WriteOpenMetrics(w io.Writer, fams []Family) error {
+	var b strings.Builder
+	seen := make(map[string]bool, len(fams))
+	for _, f := range fams {
+		if !promNameRe.MatchString(f.Name) {
+			return fmt.Errorf("telemetry: invalid metric name %q", f.Name)
 		}
-		i++
+		if seen[f.Name] {
+			return fmt.Errorf("telemetry: metric family %q declared twice", f.Name)
+		}
+		seen[f.Name] = true
+		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s %s\n", f.Name, escapeHelp(f.Help), f.Name, f.Type)
+		for _, s := range f.Series {
+			var labels string
+			if f.Label != "" {
+				labels = fmt.Sprintf("%s=%q", f.Label, s.LabelValue)
+			}
+			switch f.Type {
+			case "counter":
+				writeSample(&b, f.Name+"_total", labels, strconv.FormatUint(s.Value, 10))
+			case "gauge":
+				writeSample(&b, f.Name, labels, strconv.FormatUint(s.Value, 10))
+			case "histogram":
+				writeHistogram(&b, f.Name, labels, s.Hist)
+			default:
+				return fmt.Errorf("telemetry: metric family %q has unknown type %q", f.Name, f.Type)
+			}
+		}
 	}
-	p.bucketSample(name, labels, "+Inf", h.Count, nil)
-	p.sample(name+"_sum", labels, strconv.FormatUint(h.Sum, 10))
-	p.sample(name+"_count", labels, strconv.FormatUint(h.Count, 10))
+	b.WriteString("# EOF\n")
+	_, err := io.WriteString(w, b.String())
+	return err
 }
 
-func (p *PromWriter) pickExemplar(ex Exemplars, lo, hi int) *Exemplar {
-	if !p.om || ex.Set == nil {
-		return nil
+func writeHistogram(b *strings.Builder, name, labels string, h *Histogram) {
+	var cum uint64
+	lo := 0 // first exposed bucket covers fine buckets [0, 15]
+	for i := 0; i < stats.NumHistBuckets; i++ {
+		cum += h.Buckets[i]
+		if i < 15 || (i-15)%histBucketStride != 0 {
+			continue
+		}
+		value := strconv.FormatUint(cum, 10)
+		if ex, ok := h.newestExemplar(lo, i); ok {
+			value += fmt.Sprintf(` # {trace_id="%d"} %d %s`, ex.TraceID, ex.Value,
+				strconv.FormatFloat(float64(ex.TSUnixUS)/1e6, 'f', 6, 64))
+		}
+		writeSample(b, name+"_bucket", withLE(labels, strconv.FormatUint(stats.HistBucketBound(i), 10)), value)
+		lo = i + 1
 	}
-	e, ok := ex.Set.Pick(lo, hi, ex.Keep)
-	if !ok {
-		return nil
-	}
-	return &e
+	writeSample(b, name+"_bucket", withLE(labels, "+Inf"), strconv.FormatUint(h.Count, 10))
+	writeSample(b, name+"_sum", labels, strconv.FormatUint(h.Sum, 10))
+	writeSample(b, name+"_count", labels, strconv.FormatUint(h.Count, 10))
 }
 
-func (p *PromWriter) bucketSample(name string, labels []Label, le string, v uint64, ex *Exemplar) {
-	bl := make([]Label, 0, len(labels)+1)
-	bl = append(bl, labels...)
-	bl = append(bl, Label{Name: "le", Value: le})
-	if ex == nil {
-		p.sample(name+"_bucket", bl, strconv.FormatUint(v, 10))
-		return
+func withLE(labels, le string) string {
+	if labels != "" {
+		labels += ","
 	}
-	value := strconv.FormatUint(v, 10) +
-		fmt.Sprintf(" # {trace_id=%q} %d %s",
-			strconv.FormatUint(ex.TraceID, 10), ex.Value,
-			strconv.FormatFloat(float64(ex.TSUnixUS)/1e6, 'f', 6, 64))
-	p.sample(name+"_bucket", bl, value)
+	return labels + `le="` + le + `"`
+}
+
+func writeSample(b *strings.Builder, name, labels, value string) {
+	b.WriteString(name)
+	if labels != "" {
+		b.WriteString("{" + labels + "}")
+	}
+	b.WriteString(" " + value + "\n")
 }
 
 func escapeHelp(s string) string {
@@ -247,49 +141,78 @@ func escapeHelp(s string) string {
 	return strings.ReplaceAll(s, "\n", `\n`)
 }
 
+// HistSummary is the JSON rendering of a histogram: count, mean and the
+// P50/P95/P99 percentiles, all in the histogram's base unit
+// (microseconds for heliosd). The OpenMetrics buckets of the same
+// family are a lossless projection of the same stats.Histogram, so the
+// two forms never disagree about the distribution.
+type HistSummary struct {
+	Count uint64 `json:"count"`
+	Mean  uint64 `json:"mean"`
+	P50   uint64 `json:"p50"`
+	P95   uint64 `json:"p95"`
+	P99   uint64 `json:"p99"`
+}
+
+// MetricsJSON renders fams as the /metricz JSON document, one key per
+// family name: an unlabelled counter or gauge is a number, an unlabelled
+// histogram a HistSummary, and a labelled family an object keyed by
+// label value.
+func MetricsJSON(fams []Family) map[string]any {
+	doc := make(map[string]any, len(fams))
+	for _, f := range fams {
+		if f.Label == "" {
+			doc[f.Name] = f.Series[0].jsonValue()
+			continue
+		}
+		byLabel := make(map[string]any, len(f.Series))
+		for _, s := range f.Series {
+			byLabel[s.LabelValue] = s.jsonValue()
+		}
+		doc[f.Name] = byLabel
+	}
+	return doc
+}
+
+func (s Series) jsonValue() any {
+	if s.Hist == nil {
+		return s.Value
+	}
+	h := &s.Hist.Histogram
+	return HistSummary{Count: h.Count, Mean: h.Mean(), P50: h.Percentile(50), P95: h.Percentile(95), P99: h.Percentile(99)}
+}
+
 // LintExposition is the promtool-shaped checker the CI smoke job runs
-// against /metricz output — stdlib-only, mirroring `promtool check
-// metrics`-adjacent parse rules for format 0.0.4:
+// against the /metricz OpenMetrics exposition — stdlib-only, mirroring
+// `promtool check metrics`-adjacent parse rules:
 //
 //   - metric and label names match the Prometheus grammar
 //   - TYPE lines precede their family's samples, appear at most once,
 //     and carry a known type; HELP at most once per family
 //   - families are contiguous (no interleaving) and samples parse as
-//     <name>{labels} <value> with a float-parseable value
+//     <name>{labels} <value> with a float-parseable value (a counter's
+//     `_total` samples belong to the family TYPE-declared without it)
 //   - no duplicate name+labelset
 //   - histogram families have ascending cumulative le buckets ending
 //     in +Inf, plus _sum and _count, with _count equal to the +Inf
 //     bucket
+//   - `# {...} value [timestamp]` exemplars appear only on _bucket and
+//     _total samples, carry a trace_id, and fall inside their bucket
+//   - the exposition ends with `# EOF`
 //
-// It returns the first violation found, prefixed with its line number.
-func LintExposition(r io.Reader) error {
-	return LintExpositionOptions(r, LintOptions{})
-}
-
-// LintOptions extends the linter to the OpenMetrics dialect.
-type LintOptions struct {
-	// OpenMetrics switches on the 1.0.0 rules: the exposition must end
-	// with `# EOF`, counter families are TYPE-declared without `_total`
-	// while samples keep it, and `# {...}` exemplars are legal on
-	// _bucket and _total samples (they are an error in 0.0.4 mode).
-	OpenMetrics bool
-	// ResolveTrace, when non-nil, is the retention-consistency check:
-	// every exemplar's trace_id must resolve (heliosctl points it at
-	// /tracez?id=..., tests at Tracer.Retained). Dangling exemplars —
-	// a bucket deep-linking to an evicted trace — are a lint error.
-	ResolveTrace func(traceID string) bool
-}
-
-// LintExpositionOptions lints r under opts; see LintExposition.
-func LintExpositionOptions(r io.Reader, opts LintOptions) error {
+// resolveTrace, when non-nil, is the retention-consistency check: every
+// exemplar's trace_id must resolve (heliosctl points it at
+// /tracez?id=..., tests at Tracer.Retained), so a bucket deep-linking to
+// an evicted trace is a lint error. It returns the first violation
+// found, prefixed with its line number.
+func LintExposition(r io.Reader, resolveTrace func(traceID string) bool) error {
 	l := &promLinter{
 		types:   map[string]string{},
 		helped:  map[string]bool{},
 		closed:  map[string]bool{},
 		seen:    map[string]bool{},
 		hists:   map[string]*histCheck{},
-		om:      opts.OpenMetrics,
-		resolve: opts.ResolveTrace,
+		resolve: resolveTrace,
 	}
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
@@ -325,22 +248,21 @@ type promLinter struct {
 	seen    map[string]bool // name+labels duplicates
 	hists   map[string]*histCheck
 	cur     string // family currently being emitted
-	om      bool
 	resolve func(string) bool
 	sawEOF  bool
 }
 
 var (
 	promHelpRe     = regexp.MustCompile(`^# HELP ([a-zA-Z_:][a-zA-Z0-9_:]*)( .*)?$`)
-	promTypeRe     = regexp.MustCompile(`^# TYPE ([a-zA-Z_:][a-zA-Z0-9_:]*) (counter|gauge|histogram|summary|untyped|unknown)$`)
+	promTypeRe     = regexp.MustCompile(`^# TYPE ([a-zA-Z_:][a-zA-Z0-9_:]*) (counter|gauge|histogram|summary|unknown)$`)
 	promSampleRe   = regexp.MustCompile(`^([a-zA-Z_:][a-zA-Z0-9_:]*)(\{([^}]*)\})?\s+(\S+)(\s+\d+)?\s*$`)
 	promLabelRe    = regexp.MustCompile(`^([a-zA-Z_][a-zA-Z0-9_]*)="((?:[^"\\]|\\.)*)"$`)
 	promExemplarRe = regexp.MustCompile(`^\{([^}]*)\} (\S+)( (\S+))?$`)
 )
 
 // family strips histogram/summary sample suffixes to the declaring
-// family name when that family was TYPE-declared, and — in the
-// OpenMetrics dialect — the `_total` suffix of counter samples.
+// family name when that family was TYPE-declared, and the `_total`
+// suffix of counter samples.
 func (l *promLinter) family(name string) string {
 	for _, suf := range []string{"_bucket", "_sum", "_count"} {
 		if base, ok := strings.CutSuffix(name, suf); ok {
@@ -380,10 +302,8 @@ func (l *promLinter) line(s string) error {
 	}
 	if strings.HasPrefix(s, "#") {
 		if s == "# EOF" {
-			if l.om {
-				l.sawEOF = true
-			}
-			return nil // free-form comment in 0.0.4, terminator in OpenMetrics
+			l.sawEOF = true
+			return nil
 		}
 		if m := promHelpRe.FindStringSubmatch(s); m != nil {
 			if l.helped[m[1]] {
@@ -481,9 +401,6 @@ func (l *promLinter) splitExemplar(s string) (string, *lintExemplar, error) {
 	if idx < 0 {
 		return s, nil, nil
 	}
-	if !l.om {
-		return s, nil, fmt.Errorf("exemplar syntax in a 0.0.4 exposition: %q", s[idx+1:])
-	}
 	tail := s[idx+3:]
 	m := promExemplarRe.FindStringSubmatch(tail)
 	if m == nil {
@@ -580,7 +497,7 @@ func (l *promLinter) finish() error {
 			return fmt.Errorf("histogram series %q _count %v != +Inf bucket %v", s, hc.count, hc.infCount)
 		}
 	}
-	if l.om && !l.sawEOF {
+	if !l.sawEOF {
 		return fmt.Errorf("OpenMetrics exposition does not end with # EOF")
 	}
 	return nil

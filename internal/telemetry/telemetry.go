@@ -3,9 +3,9 @@
 // what heliosd did to a request. A Tracer hands out per-request Traces;
 // code on the request path opens named Spans (admission, cache_read,
 // record, replay, cache_write, manifest) carrying string
-// attributes, and the tracer aggregates span durations into
-// stats.Histogram latency histograms plus bookkeeping counters that
-// prove the span contract (every started span ends exactly once).
+// attributes, and the tracer aggregates span durations into latency
+// Histograms plus bookkeeping counters that prove the span contract
+// (every started span ends exactly once).
 //
 // The package follows the same two disciplines as internal/obs:
 //
@@ -20,7 +20,7 @@
 //
 //   - Determinism quarantine. Spans measure wall-clock time, which is
 //     nondeterministic by nature; their output (Chrome trace JSON,
-//     NDJSON span logs, Prometheus exposition) must therefore never be
+//     NDJSON span logs, OpenMetrics exposition) must therefore never be
 //     spliced into a deterministic surface such as `experiments
 //     -metrics` or a manifest's stats block. Exports live in their own
 //     files/endpoints, exactly like ooo.Stats.WallRows vs Rows.
@@ -35,8 +35,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"helios/internal/stats"
 )
 
 // Options configures a Tracer.
@@ -49,8 +47,9 @@ type Options struct {
 	// retention.
 	Ring int
 	// NDJSON, when non-nil, receives one JSON line per finished span
-	// and per finished trace. Write errors latch (sticky, like
-	// obs.Observer): the first error is kept and further writes stop.
+	// and per finished trace, for the traces the sampler keeps. Write
+	// errors latch (sticky, like obs.Observer): the first error is kept
+	// and further writes stop.
 	NDJSON io.Writer
 	// Sampler decides at Finish which traces the ring retains and with
 	// what eviction priority. Nil keeps every finished trace at priority
@@ -117,7 +116,7 @@ type Metrics struct {
 
 // Rows enumerates every counter as (name, value) pairs — the dump
 // surface heliosvet's statscomplete analyzer requires of a *Metrics
-// struct, and the source for both the JSON and Prometheus forms.
+// struct.
 func (m Metrics) Rows() [][2]string {
 	u := func(v uint64) string { return fmt.Sprint(v) }
 	return [][2]string{
@@ -193,10 +192,9 @@ type Tracer struct {
 	ring      []retainedTrace // kept traces, insertion order (seq ascending)
 	ringSeq   uint64
 	ringCap   int
-	keptBy    map[string]uint64           // deciding policy → kept count
-	evictedBy map[string]uint64           // evicted trace's policy → evictions
-	hist      map[string]*stats.Histogram // span name → duration µs
-	histEx    map[string]*ExemplarSet     // span name → bucket exemplars (kept traces only)
+	keptBy    map[string]uint64     // deciding policy → kept count
+	evictedBy map[string]uint64     // evicted trace's policy → evictions
+	hist      map[string]*Histogram // span name → duration µs, exemplars from kept traces
 	ndjson    io.Writer
 	ndjsonErr error
 }
@@ -220,8 +218,7 @@ func New(o Options) *Tracer {
 		sampler:   o.Sampler,
 		keptBy:    make(map[string]uint64),
 		evictedBy: make(map[string]uint64),
-		hist:      make(map[string]*stats.Histogram),
-		histEx:    make(map[string]*ExemplarSet),
+		hist:      make(map[string]*Histogram),
 		ndjson:    o.NDJSON,
 	}
 	if t.clock == nil {
@@ -257,8 +254,10 @@ func (t *Tracer) Metrics() Metrics {
 }
 
 // Histograms snapshots the per-span-name duration histograms
-// (microseconds), keyed and returned in sorted-name order for
-// deterministic exposition. Safe on nil (empty).
+// (microseconds) with their exemplars, in sorted-name order for
+// deterministic exposition. Only kept traces feed the exemplars; a kept
+// trace may since have left the ring, so exposition filters them with
+// Histogram.KeepExemplars(t.Retained). Safe on nil (empty).
 func (t *Tracer) Histograms() []NamedHistogram {
 	if t == nil {
 		return nil
@@ -277,7 +276,7 @@ func (t *Tracer) Histograms() []NamedHistogram {
 // histogram.
 type NamedHistogram struct {
 	Name string
-	Hist stats.Histogram
+	Hist Histogram
 }
 
 // SinkErr reports the latched NDJSON sink error, if any. Safe on nil.
@@ -515,9 +514,9 @@ func (tr *Trace) finish() {
 
 // retire folds a just-finished trace into the tracer-level aggregates:
 // the sampler's tail verdict is computed (and stamped on the trace for
-// the flight recorder), span durations always feed the histograms, and
-// kept traces join the ring — evicting the lowest-priority entry first
-// when full — while their span durations also feed the exemplar store.
+// the flight recorder), and span durations always feed the histograms.
+// Only kept traces become exemplars, join the ring — evicting the
+// lowest-priority entry first when full — and reach the NDJSON sink.
 func (t *Tracer) retire(tr *Trace) {
 	info := tr.Snapshot()
 	verdict := SampleVerdict{Keep: true, Policy: "all"}
@@ -528,39 +527,16 @@ func (t *Tracer) retire(tr *Trace) {
 	tr.verdict = verdict
 	tr.decided = true
 	tr.mu.Unlock()
+	var exemplarID uint64
+	if verdict.Keep {
+		exemplarID = info.ID
+	}
 	nowUS := t.clock().UnixMicro()
 	t.mu.Lock()
 	for i := range info.Spans {
-		sp := &info.Spans[i]
-		h := t.hist[sp.Name]
-		if h == nil {
-			h = &stats.Histogram{}
-			t.hist[sp.Name] = h
-		}
-		h.Observe(uint64(sp.DurUS))
-		if verdict.Keep {
-			e := t.histEx[sp.Name]
-			if e == nil {
-				e = &ExemplarSet{}
-				t.histEx[sp.Name] = e
-			}
-			e.Observe(uint64(sp.DurUS), info.ID, nowUS)
-		}
+		t.observeLocked(info.Spans[i].Name, uint64(info.Spans[i].DurUS), exemplarID, nowUS)
 	}
-	rh := t.hist[info.Name]
-	if rh == nil {
-		rh = &stats.Histogram{}
-		t.hist[info.Name] = rh
-	}
-	rh.Observe(uint64(info.DurUS))
-	if verdict.Keep {
-		re := t.histEx[info.Name]
-		if re == nil {
-			re = &ExemplarSet{}
-			t.histEx[info.Name] = re
-		}
-		re.Observe(uint64(info.DurUS), info.ID, nowUS)
-	}
+	t.observeLocked(info.Name, uint64(info.DurUS), exemplarID, nowUS)
 	switch {
 	case !verdict.Keep:
 		t.m.sampledDropped.Add(1)
@@ -581,7 +557,7 @@ func (t *Tracer) retire(tr *Trace) {
 	sink := t.ndjson
 	broken := t.ndjsonErr != nil
 	t.mu.Unlock()
-	if sink != nil && !broken {
+	if sink != nil && !broken && verdict.Keep {
 		if err := writeNDJSON(sink, info); err != nil {
 			t.m.exportErrors.Add(1)
 			t.mu.Lock()
@@ -591,6 +567,17 @@ func (t *Tracer) retire(tr *Trace) {
 			t.mu.Unlock()
 		}
 	}
+}
+
+// observeLocked folds one duration into name's histogram, with
+// traceID as its exemplar (0 for none). Caller holds t.mu.
+func (t *Tracer) observeLocked(name string, us, traceID uint64, nowUS int64) {
+	h := t.hist[name]
+	if h == nil {
+		h = &Histogram{}
+		t.hist[name] = h
+	}
+	h.Observe(us, traceID, nowUS)
 }
 
 // evictLocked removes the ring entry with the lowest priority (oldest
@@ -720,31 +707,6 @@ func sortedCounts(m map[string]uint64) []PolicyCount {
 		out = append(out, PolicyCount{Policy: k, Count: v})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Policy < out[j].Policy })
-	return out
-}
-
-// NamedExemplars pairs a span name with a value copy of its bucket
-// exemplar set, aligned with the NamedHistogram of the same name.
-type NamedExemplars struct {
-	Name string
-	Set  ExemplarSet
-}
-
-// SpanExemplars snapshots the per-span-name exemplar stores in
-// sorted-name order. Safe on nil (empty). Only kept traces ever feed
-// these; exposition additionally filters through Retained so evicted
-// traces never leak into /metricz.
-func (t *Tracer) SpanExemplars() []NamedExemplars {
-	if t == nil {
-		return nil
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	out := make([]NamedExemplars, 0, len(t.histEx))
-	for name, e := range t.histEx {
-		out = append(out, NamedExemplars{Name: name, Set: *e})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
 }
 

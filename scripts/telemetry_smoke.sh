@@ -3,8 +3,8 @@
 # on, drive a cached + uncached + observed request mix, then assert the
 # whole observability surface works on real processes:
 #
-#   - GET /metricz Prometheus exposition passes the repo's own
-#     promtool-shaped linter (heliosctl metrics -prom -lint)
+#   - GET /metricz OpenMetrics exposition passes the repo's own
+#     promtool-shaped linter (heliosctl metrics -om -lint)
 #   - heliosctl metrics -watch polls without breaking
 #   - the obs artifact a client fetches (heliosctl run -obs) is
 #     byte-identical to heliossim's output for the same
@@ -62,19 +62,19 @@ cmp "$WORK/server.pipeview" "$WORK/local.pipeview" \
   || { echo "FAIL: server artifact differs from heliossim -pipeview"; exit 1; }
 echo "ok: byte-identical pipeview ($(wc -c <"$WORK/server.pipeview") bytes)"
 
-echo "== Prometheus exposition lints clean"
-"${CTL[@]}" metrics -prom -lint >"$WORK/metricz.prom"
-grep -q '^heliosd_requests_admitted_total ' "$WORK/metricz.prom" \
+echo "== OpenMetrics exposition lints clean"
+"${CTL[@]}" metrics -om -lint >"$WORK/metricz.om"
+grep -q '^heliosd_requests_admitted_total ' "$WORK/metricz.om" \
   || { echo "FAIL: exposition lacks admitted counter"; exit 1; }
-grep -q '^heliosd_span_duration_microseconds_bucket' "$WORK/metricz.prom" \
+grep -q '^heliosd_span_duration_microseconds_bucket' "$WORK/metricz.om" \
   || { echo "FAIL: exposition lacks span histograms"; exit 1; }
-grep -q '^heliosd_request_duration_microseconds_bucket' "$WORK/metricz.prom" \
+grep -q '^heliosd_request_duration_microseconds_bucket' "$WORK/metricz.om" \
   || { echo "FAIL: exposition lacks latency histogram"; exit 1; }
 echo "ok: exposition linted"
 
 echo "== metrics -watch polls"
 "${CTL[@]}" metrics -watch 200ms -count 2 >"$WORK/watch.json"
-[ "$(grep -c '"latency_us"' "$WORK/watch.json")" -eq 2 ] \
+[ "$(grep -c '"heliosd_request_duration_microseconds"' "$WORK/watch.json")" -eq 2 ] \
   || { echo "FAIL: -watch did not produce 2 samples"; exit 1; }
 echo "ok: watch mode"
 
@@ -98,7 +98,7 @@ grep -q 'drained clean' "$WORK/heliosd.log" || { echo "FAIL: no clean-drain log 
 echo "ok: clean drain"
 
 echo "== sampling leg: restart with -sample and a warm cache dir"
-"$WORK/heliosd" -addr "$ADDR" -insts 5000 -sample -sample-rate 5 -sample-burst 5 \
+"$WORK/heliosd" -addr "$ADDR" -insts 5000 -sample \
   -cache-dir "$WORK/cache" -flight 64 -drain 30s 2>"$WORK/heliosd2.log" &
 SERVER_PID=$!
 "${CTL[@]}" health -wait 15s >/dev/null
@@ -144,7 +144,7 @@ SERVER_PID=$!
 "${CTL[@]}" health -wait 15s >/dev/null
 "${CTL[@]}" run -workload crc32 -mode Helios | grep -q '"cached":true' \
   || { echo "FAIL: first request after warm boot was not a cache hit"; exit 1; }
-"${CTL[@]}" metrics -prom | grep -q '^heliosd_cache_warm_entries [1-9]' \
+"${CTL[@]}" metrics -om | grep -q '^heliosd_cache_warm_entries [1-9]' \
   || { echo "FAIL: warm-entries gauge is zero after warm boot"; exit 1; }
 kill -TERM "$SERVER_PID"
 wait "$SERVER_PID" || { echo "FAIL: warm heliosd exited non-zero"; cat "$WORK/heliosd3.log"; exit 1; }
