@@ -2,17 +2,20 @@
 
 GO ?= go
 
-.PHONY: all build lint test race soak fuzz-short experiments-smoke obs-smoke report-smoke bench-smoke bench-snapshot serve-smoke telemetry-smoke
+.PHONY: all build lint test race soak fuzz-short experiments-smoke obs-smoke report-smoke bench-smoke heliosbench-test serve-smoke telemetry-smoke
 
 all: build lint test
 
 build:
 	$(GO) build ./...
 
-# lint = the CI lint job: go vet, the repo's own heliosvet analyzer suite,
-# and staticcheck if it is installed (CI installs it; offline dev boxes
-# may not have it, so it is soft here and hard in CI).
+# lint = the CI lint job: gofmt, go vet, the repo's own heliosvet
+# analyzer suite, and staticcheck if it is installed (CI installs it;
+# offline dev boxes may not have it, so it is soft here and hard in CI).
 lint:
+	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
+		echo "gofmt -l lists files that need formatting:"; echo "$$unformatted"; exit 1; \
+	fi
 	$(GO) vet ./...
 	$(GO) run ./cmd/heliosvet ./...
 	@if command -v staticcheck >/dev/null 2>&1; then \
@@ -42,16 +45,16 @@ experiments-smoke:
 	$(GO) run ./cmd/experiments -id fig2 -insts 2000 -metrics
 
 # Matches the CI bench-smoke job: every benchmark must still compile and
-# complete one iteration, so the committed trajectory can't bit-rot.
+# complete one iteration, so a benchmark cannot bit-rot unnoticed. The
+# exact cycles and allocations are gated by the ledger tests in `test`.
 bench-smoke:
 	$(GO) test -run 'Benchmark' -bench . -benchtime 1x ./...
 
-# Regenerate a benchmark snapshot (see EXPERIMENTS.md for the schema).
-# Usage: make bench-snapshot OUT=BENCH_pr7.json [DIFF=BENCH_pr6.json]
-OUT ?= BENCH_snapshot.json
-bench-snapshot:
-	$(GO) run ./cmd/benchsnap -out $(OUT) -benchtime 3x -count 3 \
-		$(if $(DIFF),-diff $(DIFF))
+# Matches the CI bench-smoke job's heliosbench step. heliosbench is a
+# nested module, so the root ./... never compiles it; this catches an
+# internal API change that would break the benchmark pipeline.
+heliosbench-test:
+	cd heliosbench && $(GO) vet . && $(GO) test .
 
 # Matches the CI heliosd-smoke job: build heliosd + heliosctl, drive
 # every endpoint plus the hostile-input taxonomy, SIGTERM mid-flight,
@@ -60,7 +63,7 @@ serve-smoke:
 	./scripts/heliosd_smoke.sh
 
 # Matches the CI telemetry-smoke job: heliosd with span tracing on, a
-# cached + uncached + observed request mix, Prometheus exposition lint,
+# cached + uncached + observed request mix, OpenMetrics exposition lint,
 # obs-artifact byte-identity against heliossim, and a Perfetto trace.
 telemetry-smoke:
 	./scripts/telemetry_smoke.sh

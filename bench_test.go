@@ -1,216 +1,24 @@
-// Package helios_test hosts the benchmark harness: one testing.B benchmark
-// per table and figure of the paper's evaluation (run them with
-// `go test -bench=. -benchmem`), plus throughput micro-benchmarks for the
-// simulator itself. Figure/table benches report the headline quantity of
-// the corresponding artifact via b.ReportMetric, so a bench run regenerates
-// the evaluation at reduced instruction budgets; use cmd/experiments for
-// the full-budget numbers recorded in EXPERIMENTS.md.
+// Package helios_test hosts the simulator's throughput micro-benchmarks,
+// the Section IV design-space ablations, and the exact ledger
+// (ledger_test.go). Wall time for the suite, the figures and heliosd is
+// measured by heliosbench; cmd/experiments renders every figure and
+// table.
 package helios_test
 
 import (
 	"context"
-
 	"strconv"
-	"strings"
 	"testing"
-	"time"
 
 	"helios/internal/core"
-	"helios/internal/emu"
-	"helios/internal/experiments"
 	"helios/internal/fusion"
 	"helios/internal/helios"
 	"helios/internal/ooo"
 	"helios/internal/workloads"
 )
 
-// benchBudget keeps each experiment iteration fast enough for testing.B.
+// benchBudget keeps each ablation iteration fast enough for testing.B.
 const benchBudget = 30_000
-
-func newHarness() *experiments.Harness {
-	return experiments.New(benchBudget)
-}
-
-// lastCell parses the numeric value (stripping %) in the given column of a
-// table's last row.
-func lastCell(b *testing.B, h *experiments.Harness, id string, col int) float64 {
-	b.Helper()
-	tbl, err := h.Run(context.Background(), id)
-	if err != nil {
-		b.Fatal(err)
-	}
-	row := tbl.Row(tbl.NumRows() - 1)
-	v, err := strconv.ParseFloat(strings.TrimSuffix(row[col], "%"), 64)
-	if err != nil {
-		b.Fatalf("%s: bad cell %q", id, row[col])
-	}
-	return v
-}
-
-// BenchmarkFigure2 regenerates Figure 2 (fused µ-ops by idiom class) and
-// reports the average memory-idiom percentage.
-func BenchmarkFigure2(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		h := newHarness()
-		mem := lastCell(b, h, "fig2", 1)
-		b.ReportMetric(mem, "mem-fused-%")
-	}
-}
-
-// BenchmarkFigure3 regenerates Figure 3 and reports the geomean normalized
-// IPC of memory-only fusion.
-func BenchmarkFigure3(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		h := newHarness()
-		b.ReportMetric(lastCell(b, h, "fig3", 2), "memonly-speedup")
-	}
-}
-
-// BenchmarkFigure4 regenerates Figure 4 (consecutive pair categories) and
-// reports the average contiguous-pair percentage.
-func BenchmarkFigure4(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		h := newHarness()
-		b.ReportMetric(lastCell(b, h, "fig4", 1), "contiguous-%")
-	}
-}
-
-// BenchmarkFigure5 regenerates Figure 5 and reports the average additional
-// NCSF percentage.
-func BenchmarkFigure5(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		h := newHarness()
-		b.ReportMetric(lastCell(b, h, "fig5", 2), "ncsf-%")
-	}
-}
-
-// BenchmarkFigure8 regenerates Figure 8 and reports Helios's average NCSF
-// pair percentage (relative to memory instructions).
-func BenchmarkFigure8(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		h := newHarness()
-		b.ReportMetric(lastCell(b, h, "fig8", 2), "helios-ncsf-%")
-	}
-}
-
-// BenchmarkFigure9 regenerates Figure 9 (structural stalls); the metric is
-// the count of table rows (three configurations per workload).
-func BenchmarkFigure9(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		h := newHarness()
-		tbl, err := h.Run(context.Background(), "fig9")
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(float64(tbl.NumRows()), "rows")
-	}
-}
-
-// BenchmarkFigure10 regenerates the headline figure and reports the
-// geomean Helios speedup over NoFusion.
-func BenchmarkFigure10(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		h := newHarness()
-		b.ReportMetric(lastCell(b, h, "fig10", 4), "helios-geomean")
-		b.ReportMetric(lastCell(b, h, "fig10", 5), "oracle-geomean")
-	}
-}
-
-// BenchmarkSuiteFig10 pins down the trace layer's speedup: the full
-// Figure 10 matrix (6 configurations per workload) with the suite's
-// record-once/replay-many path versus re-emulating the kernel for every
-// run, the way the pre-trace-layer code did. The ns/op gap between the
-// two sub-benches is the benefit of reusing the recording.
-func BenchmarkSuiteFig10(b *testing.B) {
-	names := []string{"crc32", "xz", "sha"}
-	b.Run("trace-reuse", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			h := experiments.New(benchBudget)
-			h.Workloads = names
-			if _, err := h.Figure10(context.Background()); err != nil {
-				b.Fatal(err)
-			}
-			b.ReportMetric(float64(h.Suite.Metrics().TraceMisses), "emulations")
-		}
-	})
-	b.Run("no-reuse", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			emulations := 0
-			for _, name := range names {
-				w, _ := workloads.ByName(name)
-				for _, m := range fusion.Modes {
-					if _, err := core.Run(context.Background(), w, m, benchBudget); err != nil {
-						b.Fatal(err)
-					}
-					emulations++
-				}
-			}
-			b.ReportMetric(float64(emulations), "emulations")
-		}
-	})
-}
-
-// BenchmarkSuiteParallel measures the suite scheduler: the same
-// workload×mode matrix warmed serially (workers=1) versus fanned across
-// GOMAXPROCS workers. On a multi-core runner the ns/op gap is the
-// scheduler's realized speedup; on a single-core runner the two
-// converge (the committed BENCH_*.json snapshots record num_cpu and
-// gomaxprocs so the trajectory is read in context). The realized-x
-// metric is the suite's own measurement: serial-equivalent sum of
-// per-cell walls over elapsed fan-out wall.
-func BenchmarkSuiteParallel(b *testing.B) {
-	names := []string{"crc32", "xz", "sha"}
-	run := func(b *testing.B, workers int) {
-		for i := 0; i < b.N; i++ {
-			h := experiments.New(benchBudget)
-			h.Workloads = names
-			h.Suite.PrefetchN(context.Background(), names, fusion.Modes, workers)
-			if _, err := h.Figure10(context.Background()); err != nil {
-				b.Fatal(err)
-			}
-			m := h.Suite.Metrics()
-			if m.FanoutWall > 0 {
-				var sum time.Duration
-				for _, c := range m.CellWalls {
-					sum += c.Wall
-				}
-				b.ReportMetric(float64(sum)/float64(m.FanoutWall), "realized-x")
-			}
-		}
-	}
-	b.Run("serial", func(b *testing.B) { run(b, 1) })
-	b.Run("parallel", func(b *testing.B) { run(b, 0) })
-}
-
-// BenchmarkTable2 regenerates the machine configuration table.
-func BenchmarkTable2(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		h := newHarness()
-		tbl, err := h.Run(context.Background(), "table2")
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(float64(tbl.NumRows()), "rows")
-	}
-}
-
-// BenchmarkTable3 regenerates the predictor quality table and reports the
-// average accuracy (the paper reports 99.7%).
-func BenchmarkTable3(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		h := newHarness()
-		b.ReportMetric(lastCell(b, h, "table3", 2), "accuracy-%")
-		b.ReportMetric(lastCell(b, h, "table3", 1), "coverage-%")
-	}
-}
-
-// BenchmarkStorageCost regenerates the Section IV-B7 storage accounting.
-func BenchmarkStorageCost(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		c := helios.Cost(helios.PaperParams())
-		b.ReportMetric(float64(c.TotalBits()), "bits")
-	}
-}
 
 // ---- Simulator throughput micro-benchmarks ----
 
@@ -304,26 +112,6 @@ func BenchmarkOracle(b *testing.B) {
 			continue
 		}
 		o.Observe(r)
-	}
-}
-
-var sinkRetired emu.Retired
-
-// BenchmarkDecode measures raw instruction decode throughput.
-func BenchmarkDecode(b *testing.B) {
-	w, _ := workloads.ByName("sha")
-	s, err := w.Trace(uint64(b.N))
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r, ok := s.Next()
-		if !ok {
-			s, _ = w.Trace(uint64(b.N))
-			continue
-		}
-		sinkRetired = r
 	}
 }
 

@@ -1,8 +1,10 @@
 // Command heliosctl is the heliosd client. It speaks the typed error
-// taxonomy: retryable failures (429 overload, 5xx, transport errors)
-// are retried with exponential backoff plus jitter, honouring the
-// server's Retry-After hint as the backoff floor; terminal failures
-// (4xx) are reported immediately.
+// taxonomy: the kinds serve.Error.Retryable accepts (overload, draining,
+// engine-fault, internal), untyped 429/5xx responses and transport
+// errors are retried with exponential backoff plus jitter, honouring the
+// server's Retry-After hint as the backoff floor; every other failure,
+// including a 504 deadline that would only time out again, is reported
+// immediately.
 //
 // Usage:
 //
@@ -61,7 +63,7 @@ func fatalf(format string, args ...any) {
 
 func main() {
 	server := flag.String("server", "http://localhost:8080", "heliosd base URL")
-	retries := flag.Int("retries", 5, "max retries for retryable failures (429/5xx/transport)")
+	retries := flag.Int("retries", 5, "max retries for retryable failures (overload, draining, engine-fault, internal, transport)")
 	flag.Usage = func() {
 		fmt.Fprintf(flag.CommandLine.Output(),
 			"usage: heliosctl [-server URL] {run|suite|diff|workloads|health|ready|metrics|trace|triage|raw} [flags]\n")
@@ -123,9 +125,8 @@ func backoff(attempt int, floor time.Duration, rng *rand.Rand) time.Duration {
 
 // retryAfterHint extracts the server's backoff floor from a typed error
 // body (retry_after_ms) or the Retry-After header.
-func retryAfterHint(resp *http.Response, body []byte) time.Duration {
-	var e serve.Error
-	if err := json.Unmarshal(body, &e); err == nil && e.RetryAfterMs > 0 {
+func retryAfterHint(resp *http.Response, e *serve.Error) time.Duration {
+	if e.RetryAfterMs > 0 {
 		return time.Duration(e.RetryAfterMs) * time.Millisecond
 	}
 	if s := resp.Header.Get("Retry-After"); s != "" {
@@ -136,9 +137,9 @@ func retryAfterHint(resp *http.Response, body []byte) time.Duration {
 	return 0
 }
 
-// do issues one request with the retry policy. Terminal statuses (2xx
-// and non-retryable 4xx) return immediately; 429/5xx and transport
-// errors retry with backoff.
+// do sends one request with the retry policy. Success and terminal
+// failures return immediately; retryable ones (see once) retry with
+// backoff.
 func (c *client) do(method, path string, body []byte) (int, []byte) {
 	//helios:nondeterminism-ok client-side retry jitter, not simulation state
 	rng := rand.New(rand.NewPCG(uint64(os.Getpid()), uint64(time.Now().UnixNano())))
@@ -163,6 +164,10 @@ func (c *client) do(method, path string, body []byte) (int, []byte) {
 	}
 }
 
+// once sends one request and classifies its failure. Transport errors
+// and untyped 429/5xx responses (from a proxy, say) are retryable; a
+// typed error body decides by its kind, so a 504 deadline, which would
+// only time out again, is not.
 func (c *client) once(method, path string, body []byte) (status int, respBody []byte, retryable bool, hint time.Duration, err error) {
 	req, err := http.NewRequest(method, c.base+path, bytes.NewReader(body))
 	if err != nil {
@@ -179,7 +184,11 @@ func (c *client) once(method, path string, body []byte) (status int, respBody []
 		return resp.StatusCode, nil, true, 0, err
 	}
 	retryable = resp.StatusCode == 429 || resp.StatusCode >= 500
-	return resp.StatusCode, respBody, retryable, retryAfterHint(resp, respBody), nil
+	var e serve.Error
+	if retryable && json.Unmarshal(respBody, &e) == nil && e.Kind != "" {
+		retryable = e.Retryable()
+	}
+	return resp.StatusCode, respBody, retryable, retryAfterHint(resp, &e), nil
 }
 
 func (c *client) post(path string, v any) (int, []byte) {
@@ -217,7 +226,7 @@ func cmdRun(c *client, args []string) {
 	insts := fs.Uint64("insts", 0, "instruction budget (0 = server default)")
 	deadline := fs.Int64("deadline-ms", 0, "per-request deadline in ms (0 = server default)")
 	obs := fs.String("obs", "", "request an observability artifact: pipeview, events or interval")
-	obsInterval := fs.Uint64("obs-interval", 0, "interval sampler period for -obs interval (0 = server default)")
+	obsInterval := fs.Uint64("obs-interval", 0, "interval sampler period in simulated cycles for -obs interval (0 = server default)")
 	obsOut := fs.String("obs-out", "", "write the artifact payload to this file (with -obs)")
 	fs.Parse(args)
 	if *workload == "" {

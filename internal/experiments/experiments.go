@@ -2,7 +2,8 @@
 // evaluation: the motivation studies (Figures 2-5), the Helios results
 // (Figure 8, Table III, Figures 9-10) and the storage budget (Section
 // IV-B7). Each driver returns a stats.Table whose rows mirror the paper's
-// per-application series; cmd/experiments and bench_test.go print them.
+// per-application series; cmd/experiments prints them and heliosbench
+// times them.
 package experiments
 
 import (

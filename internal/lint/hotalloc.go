@@ -6,12 +6,13 @@ import (
 	"go/types"
 )
 
-// HotAlloc turns the arena win (DESIGN.md §13, BENCH_pr6.json's −92%
-// allocs/op) into a compile-time contract: every function reachable
-// from a //helios:hotpath root must be allocation-free and map-free.
-// The benchmark pin (TestCommitObsOffNoAllocs) proves one call site on
-// one machine; this analyzer proves the property over the whole static
-// call closure, across packages, on every CI run.
+// HotAlloc turns the arena win (DESIGN.md §13: −92% allocs per replay)
+// into a compile-time contract: every function reachable from a
+// //helios:hotpath root must be allocation-free and map-free. The
+// allocation pins (TestCommitObsOffNoAllocs, and the exact ledger's
+// allocs per replay) prove the count on fixed inputs; this analyzer
+// proves the property over the whole static call closure, across
+// packages, on every CI run.
 //
 // Inside the closure the analyzer flags, line by line:
 //

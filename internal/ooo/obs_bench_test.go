@@ -14,15 +14,15 @@ import (
 // benchRecording records the pairedLoads workload once so every
 // benchmark iteration replays the identical stream with zero emulation
 // cost in the measured loop.
-func benchRecording(b *testing.B) *trace.Recording {
-	b.Helper()
+func benchRecording(tb testing.TB) *trace.Recording {
+	tb.Helper()
 	prog, err := asm.Assemble(pairedLoads)
 	if err != nil {
-		b.Fatalf("assemble: %v", err)
+		tb.Fatalf("assemble: %v", err)
 	}
 	rec, err := trace.Record(trace.NewLive(emu.New(prog), 20000))
 	if err != nil {
-		b.Fatalf("record: %v", err)
+		tb.Fatalf("record: %v", err)
 	}
 	return rec
 }
@@ -41,8 +41,8 @@ func benchRun(b *testing.B, rec *trace.Recording, ob *obs.Observer) {
 		}
 		cycles += st.Cycles
 	}
-	// cycles/op feeds the BENCH_*.json trajectory: benchsnap derives
-	// simulated-cycles/sec from it (see EXPERIMENTS.md).
+	// TestExactLedgerObsOff pins cycles/op exactly; reporting it here
+	// turns a bench run's ns/op into simulated cycles/s.
 	b.ReportMetric(float64(cycles)/float64(b.N), "cycles/op")
 }
 
@@ -63,6 +63,34 @@ func BenchmarkPipelineObsOn(b *testing.B) {
 		Metrics:     io.Discard,
 		SampleEvery: 1000,
 	})
+}
+
+// TestExactLedgerObsOff pins BenchmarkPipelineObsOff's exact metrics:
+// the simulated cycles of one Helios replay of the fixture and its heap
+// allocations. Replay is deterministic, so both are exact for the
+// toolchain go.mod names. A change that moves either value updates the
+// pin here and gives the reason in CHANGES.md. The root package's
+// TestExactLedger pins a real kernel under all six modes the same way.
+func TestExactLedgerObsOff(t *testing.T) {
+	const wantCycles, wantAllocs = 4524, 4330
+	rec := benchRecording(t)
+	var st *Stats
+	var err error
+	// AllocsPerRun averages with integer division over 5 runs, so a few
+	// one-off runtime allocations (a GC starting its workers) vanish,
+	// while one more allocation per replay cannot.
+	allocs := testing.AllocsPerRun(5, func() {
+		st, err = New(DefaultConfig(fusion.ModeHelios), rec.Replay()).Run()
+	})
+	if err != nil {
+		t.Fatalf("replay: %v", err)
+	}
+	if st.Cycles != wantCycles {
+		t.Errorf("cycles = %d, pinned %d", st.Cycles, wantCycles)
+	}
+	if allocs != wantAllocs {
+		t.Errorf("allocs/replay = %.0f, pinned %d", allocs, wantAllocs)
+	}
 }
 
 // TestCommitObsOffNoAllocs pins the disabled-path contract at the exact

@@ -45,8 +45,8 @@ type RunRequest struct {
 	// the payload byte-identical to heliossim's for the same
 	// workload/config/budget.
 	Obs string `json:"obs,omitempty"`
-	// ObsInterval is the sampler period for obs:"interval", in committed
-	// instructions (0 = the server default).
+	// ObsInterval is the sampler period for obs:"interval", in simulated
+	// cycles (0 = the server default).
 	ObsInterval uint64 `json:"obs_interval,omitempty"`
 }
 

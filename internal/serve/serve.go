@@ -560,8 +560,8 @@ func boolStr(v bool) string {
 	return "false"
 }
 
-// obsDefaultInterval is the interval sampler period (in committed µops)
-// when an obs:"interval" request does not specify one — the same
+// obsDefaultInterval is the interval sampler period (in simulated
+// cycles) when an obs:"interval" request does not specify one — the same
 // default as heliossim -interval's documentation examples.
 const obsDefaultInterval = 10000
 

@@ -253,7 +253,9 @@ func TestRunObsArtifact(t *testing.T) {
 
 // TestRunObsArtifactDir checks the file-encoding path: with ArtifactDir
 // set the payload lands on disk and the response carries the path plus
-// the digest of the file's bytes.
+// the digest of the file's bytes. It also pins obs_interval's unit:
+// simulated cycles, so every row but the final partial one sits on a
+// multiple of the period.
 func TestRunObsArtifactDir(t *testing.T) {
 	cfg := telemetryConfig()
 	cfg.ArtifactDir = t.TempDir()
@@ -281,6 +283,23 @@ func TestRunObsArtifactDir(t *testing.T) {
 	}
 	if !strings.HasPrefix(string(data), "cycle,") {
 		t.Errorf("interval CSV does not start with its header: %q", firstLine(data))
+	}
+	rows := strings.Split(strings.TrimSpace(string(data)), "\n")[1:]
+	if len(rows) < 2 {
+		t.Fatalf("interval CSV has %d rows, want several at a 500-cycle period", len(rows))
+	}
+	for i, row := range rows {
+		cycle, err := strconv.ParseUint(strings.Split(row, ",")[0], 10, 64)
+		if err != nil {
+			t.Fatalf("row %d: %v", i+1, err)
+		}
+		want := uint64(500 * (i + 1))
+		if i == len(rows)-1 && cycle > want-500 && cycle <= want {
+			continue // the final partial interval
+		}
+		if cycle != want {
+			t.Errorf("row %d: cycle = %d, want %d", i+1, cycle, want)
+		}
 	}
 }
 
