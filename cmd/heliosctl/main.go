@@ -365,8 +365,7 @@ func cmdTrace(c *client, args []string) {
 // line per recent request with outcome, cache verdict, duration,
 // sampling verdict and — when the tail sampler retained the trace — the
 // id `heliosctl trace -id` resolves. -follow turns it into a tail -f
-// over the ring, using the server's next_after cursor so entries are
-// printed exactly once.
+// over the ring.
 func cmdTriage(c *client, args []string) {
 	fs := flag.NewFlagSet("triage", flag.ExitOnError)
 	outcome := fs.String("outcome", "", `filter: "ok", "error" (any failure), or one kind ("overload", "engine-fault", ...)`)
@@ -376,21 +375,38 @@ func cmdTriage(c *client, args []string) {
 	follow := fs.Duration("follow", 0, "poll for new entries at this interval (0 = fetch once)")
 	jsonOut := fs.Bool("json", false, "print the raw JSON page instead of the line format")
 	fs.Parse(args)
+	q := url.Values{}
+	if *outcome != "" {
+		q.Set("outcome", *outcome)
+	}
+	if *workload != "" {
+		q.Set("workload", *workload)
+	}
+	if *minMs > 0 {
+		q.Set("min_ms", strconv.FormatFloat(*minMs, 'f', -1, 64))
+	}
+	if *limit > 0 {
+		q.Set("limit", strconv.Itoa(*limit))
+	}
+	polls := 1
+	if *follow > 0 {
+		polls = 0
+	}
+	c.triage(os.Stdout, q, *follow, polls, *jsonOut)
+}
 
-	page := func(after uint64) (entries []serve.RequestSummary, next uint64, raw []byte) {
-		q := url.Values{}
-		if *outcome != "" {
-			q.Set("outcome", *outcome)
+// triage fetches polls pages of /debugz/requests (0 = forever), every
+// apart, and prints each entry once. The cursor adopts whatever
+// next_after the server returns: after a restart the server's seqs
+// start over and it answers a stale cursor with its newest seq, so the
+// client resyncs instead of waiting for a seq that never comes.
+func (c *client) triage(w io.Writer, q url.Values, every time.Duration, polls int, jsonOut bool) {
+	var after uint64
+	for n := 0; polls == 0 || n < polls; n++ {
+		if n > 0 {
+			time.Sleep(every)
 		}
-		if *workload != "" {
-			q.Set("workload", *workload)
-		}
-		if *minMs > 0 {
-			q.Set("min_ms", strconv.FormatFloat(*minMs, 'f', -1, 64))
-		}
-		if *limit > 0 {
-			q.Set("limit", strconv.Itoa(*limit))
-		}
+		q.Del("after")
 		if after > 0 {
 			q.Set("after", strconv.FormatUint(after, 10))
 		}
@@ -406,28 +422,16 @@ func cmdTriage(c *client, args []string) {
 		if err := json.Unmarshal(body, &p); err != nil {
 			fatalf("triage: decode /debugz/requests: %v", err)
 		}
-		return p.Requests, p.NextAfter, body
-	}
-
-	var after uint64
-	for {
-		entries, next, raw := page(after)
-		if *jsonOut {
-			if after == 0 || len(entries) > 0 {
-				os.Stdout.Write(append(bytes.TrimRight(raw, "\n"), '\n'))
+		if jsonOut {
+			if n == 0 || len(p.Requests) > 0 {
+				w.Write(append(bytes.TrimRight(body, "\n"), '\n'))
 			}
 		} else {
-			for _, e := range entries {
-				fmt.Println(triageLine(e))
+			for _, e := range p.Requests {
+				fmt.Fprintln(w, triageLine(e))
 			}
 		}
-		if *follow <= 0 {
-			return
-		}
-		if next > after {
-			after = next
-		}
-		time.Sleep(*follow)
+		after = p.NextAfter
 	}
 }
 

@@ -1,9 +1,14 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
+	"slices"
+	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -56,5 +61,40 @@ func TestRetryFollowsErrorKind(t *testing.T) {
 				t.Errorf("%d %s: final status %d, want %d", tc.status, tc.name, status, wantStatus)
 			}
 		})
+	}
+}
+
+// TestTriageFollowResyncsAfterRestart drives the -follow loop against a
+// server that restarts between polls: the first page ends at seq 500,
+// and the restarted server, whose seqs start over, answers the stale
+// cursor with its newest seq. The client must adopt it and print the
+// restarted server's next entry.
+func TestTriageFollowResyncsAfterRestart(t *testing.T) {
+	pages := []string{
+		`{"requests":[{"seq":500,"method":"POST","path":"/v1/run","outcome":"ok"}],"next_after":500}`,
+		`{"requests":[],"next_after":2}`,
+		`{"requests":[{"seq":3,"method":"POST","path":"/v1/run","outcome":"overload"}],"next_after":3}`,
+	}
+	var mu sync.Mutex
+	var afters []string
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		mu.Lock()
+		afters = append(afters, r.URL.Query().Get("after"))
+		page := pages[min(len(afters), len(pages))-1]
+		mu.Unlock()
+		w.Write([]byte(page))
+	}))
+	defer ts.Close()
+
+	var out bytes.Buffer
+	c := &client{base: ts.URL}
+	c.triage(&out, url.Values{"outcome": {"error"}}, 0, len(pages), false)
+	mu.Lock()
+	defer mu.Unlock()
+	if want := []string{"", "500", "2"}; !slices.Equal(afters, want) {
+		t.Errorf("polled with after=%q, want %q", afters, want)
+	}
+	if !strings.Contains(out.String(), "#3 ") {
+		t.Errorf("the restarted server's seq 3 was never printed:\n%s", out.String())
 	}
 }

@@ -9,8 +9,19 @@
 //
 //	heliosd -addr :8080
 //	heliosd -addr :8080 -queue 32 -deadline 15s -insts 100000
-//	heliosd -addr :8080 -manifest-dir /var/lib/helios/manifests
-//	heliosd -addr :8080 -sample -cache-dir /var/lib/helios/cache
+//	heliosd -addr :8080 -manifest-dir /var/lib/helios/manifests -trace-dir /var/lib/helios/traces
+//
+// What heliosd keeps about finished requests:
+//
+//   - The flight recorder lists the last 256 requests, with telemetry
+//     on or off (/debugz/requests, heliosctl triage).
+//   - With -telemetry (the default) every request is traced, and the
+//     tail sampler keeps errors, p99 outliers, record/degrade traces,
+//     a 25/s budget and a seeded 1% floor. /tracez serves up to 64 kept
+//     traces, evicting the lowest priority first; -trace-dir also writes
+//     each kept trace there as a Chrome trace-event file.
+//   - -manifest-dir receives a manifest per completed run, and the next
+//     boot on the same directory warms the result cache from it.
 //
 // Endpoints:
 //
@@ -41,7 +52,6 @@ import (
 
 	"helios/internal/core"
 	"helios/internal/serve"
-	"helios/internal/telemetry/sampling"
 )
 
 func main() {
@@ -55,21 +65,17 @@ func main() {
 		maxBody     = flag.Int64("max-body", def.MaxBodyBytes, "request body byte limit (typed 413 beyond)")
 		insts       = flag.Uint64("insts", 0, "default instruction budget (0 = each workload's own)")
 		workers     = flag.Int("workers", 0, "suite-endpoint scheduler workers (0 = GOMAXPROCS)")
-		manifestDir = flag.String("manifest-dir", "", "write a JSON manifest per completed run into this directory")
+		manifestDir = flag.String("manifest-dir", "", "write a JSON manifest per completed run into this directory, and warm the result cache from it at boot")
 		retryAfter  = flag.Duration("retry-after", def.RetryAfter, "backoff hint attached to overload/draining rejections")
-
-		telemetry   = flag.Bool("telemetry", true, "per-request span tracing (GET /tracez, span histograms on /metricz); off, every hook is a zero-allocation no-op")
-		traceRing   = flag.Int("trace-ring", 0, "finished traces retained for GET /tracez (0 = default)")
-		traceDir    = flag.String("trace-dir", "", "write one Chrome trace-event JSON file per kept request trace (every trace without -sample) into this directory")
+		telemetry   = flag.Bool("telemetry", true, "per-request span tracing with tail sampling (GET /tracez, span histograms on /metricz); off, every hook is a zero-allocation no-op")
+		traceDir    = flag.String("trace-dir", "", "write one Chrome trace-event JSON file per trace the tail sampler keeps into this directory (needs -telemetry)")
 		artifactDir = flag.String("artifact-dir", "", "write /v1/run obs artifacts as files here instead of inline base64")
-		spanLog     = flag.String("span-log", "", "append the NDJSON span stream of kept traces to this file")
-
-		cacheDir   = flag.String("cache-dir", "", "warm the result cache from this manifest directory at boot, and write completed runs back into it")
-		flightSize = flag.Int("flight", serve.DefaultFlightSize, "flight-recorder capacity (recent request summaries on GET /debugz/requests)")
-
-		sample = flag.Bool("sample", false, "tail-based trace sampling: keep errors, tail-latency outliers, rare spans and a rate-limited healthy budget instead of every trace")
 	)
 	flag.Parse()
+	if *traceDir != "" && !*telemetry {
+		fmt.Fprintln(os.Stderr, "heliosd: -trace-dir needs -telemetry: with telemetry off no trace is ever kept")
+		os.Exit(2)
+	}
 	cfg := serve.Config{
 		QueueDepth:      *queue,
 		DefaultDeadline: *deadline,
@@ -80,25 +86,9 @@ func main() {
 		SuiteWorkers:    *workers,
 		ManifestDir:     *manifestDir,
 		Telemetry:       *telemetry,
-		TraceRing:       *traceRing,
 		TraceDir:        *traceDir,
 		ArtifactDir:     *artifactDir,
-		CacheDir:        *cacheDir,
-		FlightSize:      *flightSize,
 		Logf:            logf,
-	}
-	if *sample {
-		// The policy chain is documented in DESIGN.md §17.
-		cfg.Sampler = sampling.Default(1)
-	}
-	if *spanLog != "" {
-		f, err := os.OpenFile(*spanLog, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "heliosd: span log:", err)
-			os.Exit(1)
-		}
-		defer f.Close()
-		cfg.SpanLog = f
 	}
 	if err := run(*addr, *drain, cfg); err != nil {
 		fmt.Fprintln(os.Stderr, "heliosd:", err)
@@ -116,7 +106,6 @@ func run(addr string, drainBudget time.Duration, cfg serve.Config) error {
 		{"manifest dir", cfg.ManifestDir},
 		{"trace dir", cfg.TraceDir},
 		{"artifact dir", cfg.ArtifactDir},
-		{"cache dir", cfg.CacheDir},
 	} {
 		if d.path == "" {
 			continue

@@ -404,9 +404,9 @@ func (s *Suite) replayDegrade(ctx context.Context, w workloads.Workload, cfg ooo
 		return r, runErr
 	}
 	// The degrade span marks the rare repair path in the request's trace
-	// — rare enough that heliosd's tail sampler boosts traces carrying it
-	// (sampling.SpanBoost), so /tracez keeps evidence of degradations
-	// even under heavy healthy traffic.
+	// — rare enough that heliosd's tail sampler keeps every trace
+	// carrying it (its span rule), so /tracez keeps evidence of
+	// degradations even under heavy healthy traffic.
 	sp := telemetry.StartSpan(ctx, "degrade")
 	sp.SetAttr("workload", w.Name)
 	fresh, ferr := s.repairRecording(ctx, w, budget, rec)

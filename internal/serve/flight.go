@@ -78,10 +78,12 @@ func (f *flightRecorder) record(fs *RequestSummary) {
 	f.entries[int((fs.Seq-1)%uint64(f.cap))] = *fs
 }
 
-// snapshot returns entries with Seq > after, oldest first, at most
-// limit (0 = all). after=0 returns the whole ring.
-func (f *flightRecorder) snapshot(after uint64, limit int) []RequestSummary {
+// snapshot returns the entries with Seq > after, oldest first, and the
+// newest Seq recorded so far (0 when empty). after=0 returns the whole
+// ring.
+func (f *flightRecorder) snapshot(after uint64) (entries []RequestSummary, newest uint64) {
 	f.mu.Lock()
+	defer f.mu.Unlock()
 	out := make([]RequestSummary, 0, len(f.entries))
 	lo := uint64(0)
 	if n := uint64(len(f.entries)); f.next > n {
@@ -93,11 +95,7 @@ func (f *flightRecorder) snapshot(after uint64, limit int) []RequestSummary {
 	for seq := lo + 1; seq <= f.next; seq++ {
 		out = append(out, f.entries[int((seq-1)%uint64(f.cap))])
 	}
-	f.mu.Unlock()
-	if limit > 0 && len(out) > limit {
-		out = out[len(out)-limit:]
-	}
-	return out
+	return out, f.next
 }
 
 // size reports how many entries are resident (≤ cap — the bound the
@@ -127,7 +125,10 @@ func flightFrom(ctx context.Context) *RequestSummary {
 // handleDebugRequests serves the flight recorder as JSON, newest-last.
 // Filters: outcome=<kind|ok|error> (error = any non-ok), workload=,
 // min_ms=<float>, after=<seq>, limit=<n>. The response carries
-// next_after for -follow polling.
+// next_after for -follow polling: the newest seq recorded, even when
+// filters empty the page or after= names a seq this process never
+// issued (a cursor kept across a restart), so a client that adopts it
+// resyncs.
 func (s *Server) handleDebugRequests(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
 	var after uint64
@@ -160,13 +161,9 @@ func (s *Server) handleDebugRequests(w http.ResponseWriter, r *http.Request) {
 	outcome := q.Get("outcome")
 	workload := q.Get("workload")
 
-	all := s.flight.snapshot(after, 0)
+	all, newest := s.flight.snapshot(after)
 	entries := make([]RequestSummary, 0, len(all))
-	maxSeq := after
 	for _, e := range all {
-		if e.Seq > maxSeq {
-			maxSeq = e.Seq
-		}
 		switch outcome {
 		case "", e.Outcome:
 		case "error":
@@ -190,5 +187,5 @@ func (s *Server) handleDebugRequests(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, struct {
 		Requests  []RequestSummary `json:"requests"`
 		NextAfter uint64           `json:"next_after"`
-	}{entries, maxSeq})
+	}{entries, newest})
 }

@@ -104,6 +104,12 @@ func TestFlightRecorderEndpoint(t *testing.T) {
 	if len(empty) != 0 || enext != next {
 		t.Errorf("after=tip returned %d entries, next_after %d (want 0, %d)", len(empty), enext, next)
 	}
+	// A cursor from before a restart lies past the newest seq: the
+	// server answers with its newest seq so the client resyncs.
+	stale, snext := getDebugRequests(t, ts.URL+"/debugz/requests?after=500")
+	if len(stale) != 0 || snext != next {
+		t.Errorf("after=500 returned %d entries, next_after %d (want 0, %d)", len(stale), snext, next)
+	}
 
 	// limit keeps the newest.
 	last, _ := getDebugRequests(t, ts.URL+"/debugz/requests?limit=1")

@@ -85,7 +85,7 @@ func (m *metricsSnapshot) families() []telemetry.Family {
 		telemetry.Gauge("heliosd_inflight_requests_max", "Admission high-water mark.", uint64(m.maxInflight)),
 		telemetry.Gauge("heliosd_queue_depth", "Configured admission bound.", uint64(m.queueDepth)),
 		telemetry.Gauge("heliosd_cache_entries", "Results resident in the result cache.", uint64(m.cacheEntries)),
-		telemetry.Gauge("heliosd_cache_warm_entries", "Results restored from the cache directory at boot.", uint64(m.warmEntries)),
+		telemetry.Gauge("heliosd_cache_warm_entries", "Results restored from the manifest directory at boot.", uint64(m.warmEntries)),
 		telemetry.Counter("heliosd_cache_hits", "Result-cache hits.", c.CacheHits),
 		telemetry.Counter("heliosd_cache_misses", "Result-cache misses.", c.CacheMisses),
 		telemetry.Counter("heliosd_cache_coalesced", "Requests that waited on an identical in-flight run.", c.CacheCoalesced),
@@ -114,7 +114,7 @@ func (m *metricsSnapshot) families() []telemetry.Family {
 		telemetry.Counter("heliosd_span_double_ends", "Duplicate span Ends (contract violations).", t.SpanDoubleEnds),
 		telemetry.Counter("heliosd_spans_dropped", "Spans dropped on finished traces.", t.SpansDropped),
 		telemetry.Counter("heliosd_trace_ring_evicted", "Finished traces evicted from the /tracez ring.", t.RingEvicted),
-		telemetry.Counter("heliosd_trace_export_errors", "Trace/NDJSON export failures.", t.ExportErrors),
+		telemetry.Counter("heliosd_trace_export_errors", "Trace files that could not be created or written.", c.TraceExportErrors),
 		telemetry.Counter("heliosd_traces_sampled_kept", "Finished traces the tail sampler kept.", t.SampledKept),
 		telemetry.Counter("heliosd_traces_sampled_dropped", "Finished traces the tail sampler dropped.", t.SampledDropped),
 		telemetry.Family{Name: "heliosd_trace_ring_admitted", Type: "counter", Help: "Ring admissions by deciding sampling policy.",

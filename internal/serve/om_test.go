@@ -8,19 +8,16 @@ import (
 	"testing"
 
 	"helios/internal/telemetry"
-	"helios/internal/telemetry/sampling"
 )
 
 // TestMetriczOpenMetricsExemplars is the exemplar acceptance check:
-// the OpenMetrics exposition carries `# {trace_id=...}` exemplars on
-// duration-histogram buckets, passes the OM lint including retention
-// consistency (every exemplar's trace resolves in the ring), and the
-// deep link round-trips — /tracez?id= serves exactly the trace the
-// bucket names.
+// under heliosd's default tail sampler the OpenMetrics exposition
+// carries `# {trace_id=...}` exemplars on duration-histogram buckets,
+// passes the OM lint including retention consistency (every exemplar's
+// trace resolves in the ring), and the deep link round-trips —
+// /tracez?id= serves exactly the trace the bucket names.
 func TestMetriczOpenMetricsExemplars(t *testing.T) {
-	cfg := telemetryConfig()
-	cfg.Sampler = sampling.Default(7)
-	s, ts := newTestServer(t, cfg)
+	s, ts := newTestServer(t, telemetryConfig())
 
 	// Mixed traffic so multiple bucket families have candidates: two
 	// distinct runs (misses with record spans), one repeat (hit), one

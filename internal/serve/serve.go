@@ -9,7 +9,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -23,6 +22,7 @@ import (
 	"helios/internal/ooo"
 	"helios/internal/report"
 	"helios/internal/telemetry"
+	"helios/internal/telemetry/sampling"
 	"helios/internal/workloads"
 )
 
@@ -47,39 +47,33 @@ type Config struct {
 	// SuiteWorkers bounds the suite endpoint's scheduler fan-out
 	// (0 = GOMAXPROCS).
 	SuiteWorkers int
-	// ManifestDir, when set, receives a per-request JSON manifest
-	// (config + stats + build identity) for every completed /v1/run.
+	// ManifestDir, when set, receives a JSON manifest (config + stats +
+	// build identity + result key) for every completed /v1/run, and is
+	// scanned at boot: every verifiable manifest a previous process left
+	// there warms the result cache.
 	ManifestDir string
-	// Telemetry enables per-request span tracing (DESIGN.md §16). Off,
-	// the tracer is a nil pointer and every hook on the request path is
-	// a zero-allocation no-op (TestServeTelemetryOffNoAllocs).
+	// Telemetry enables per-request span tracing and tail sampling
+	// (DESIGN.md §16). Off, the tracer is a nil pointer and every hook on
+	// the request path is a zero-allocation no-op
+	// (TestServeTelemetryOffNoAllocs).
 	Telemetry bool
-	// TraceRing bounds the finished traces retained for GET /tracez
-	// (0 = telemetry.DefaultRing).
-	TraceRing int
 	// TraceDir, when set (and Telemetry is on), receives one Chrome
 	// trace-event JSON file per finished request the sampler keeps.
 	TraceDir string
 	// ArtifactDir, when set, switches /v1/run obs artifacts from inline
 	// base64 payloads to server-side files referenced by path.
 	ArtifactDir string
-	// SpanLog, when non-nil (and Telemetry is on), receives the NDJSON
-	// span stream of the traces the sampler keeps.
-	SpanLog io.Writer
-	// Sampler, when non-nil (and Telemetry is on), makes the tail-based
-	// retention decision for every finished trace: only kept traces
-	// enter the /tracez ring, become /metricz exemplars and reach
-	// TraceDir and SpanLog (DESIGN.md §17). Nil keeps every finished
-	// trace, FIFO.
+	// Sampler makes the tail-based retention decision for every
+	// finished trace when Telemetry is on: only kept traces enter the
+	// /tracez ring, become /metricz exemplars and reach TraceDir. Nil
+	// means sampling.Default(1), which heliosd always runs; tests set it
+	// to pin a verdict.
 	Sampler telemetry.Sampler
-	// CacheDir, when set, is scanned at boot for manifests written by a
-	// previous heliosd process; every verifiable one warms the result
-	// cache. Completed runs write their manifest there too, so the next
-	// restart warms from this run's results.
-	CacheDir string
-	// FlightSize bounds the always-on flight recorder behind
-	// /debugz/requests (0 = DefaultFlightSize).
-	FlightSize int
+	// TraceRing and FlightSize size the /tracez retention ring and the
+	// /debugz/requests flight recorder (0 = telemetry.DefaultRing and
+	// DefaultFlightSize, which heliosd always uses). Tests resize them to
+	// reach a bound quickly.
+	TraceRing, FlightSize int
 	// Logf receives operational log lines (nil = silent).
 	Logf func(format string, args ...any)
 }
@@ -110,6 +104,9 @@ type Counters struct {
 	Completed        uint64
 	ManifestsWritten uint64
 	ManifestErrors   uint64
+	// TraceExportErrors counts TraceDir files that could not be created
+	// or written.
+	TraceExportErrors uint64
 	// The result cache's verdicts on /v1/run requests.
 	CacheHits, CacheMisses, CacheCoalesced uint64
 }
@@ -127,7 +124,7 @@ type Server struct {
 	// flight is the always-on request flight recorder (/debugz/requests);
 	// unlike traces it records with telemetry off too.
 	flight *flightRecorder
-	// warmEntries counts results restored from CacheDir at boot; written
+	// warmEntries counts results restored from ManifestDir at boot; written
 	// once before traffic, read-only after.
 	warmEntries int
 	// runHook, when a test sets it before traffic, runs on every /v1/run
@@ -160,7 +157,10 @@ func New(_ context.Context, cfg Config) *Server {
 	}
 	var tel *telemetry.Tracer
 	if cfg.Telemetry {
-		tel = telemetry.New(telemetry.Options{Ring: cfg.TraceRing, NDJSON: cfg.SpanLog, Sampler: cfg.Sampler})
+		if cfg.Sampler == nil {
+			cfg.Sampler = sampling.Default(1)
+		}
+		tel = telemetry.New(telemetry.Options{Ring: cfg.TraceRing, Sampler: cfg.Sampler})
 	}
 	s := &Server{
 		cfg:    cfg,
@@ -168,8 +168,8 @@ func New(_ context.Context, cfg Config) *Server {
 		tel:    tel,
 		flight: newFlightRecorder(cfg.FlightSize),
 	}
-	if cfg.CacheDir != "" {
-		s.warmEntries = s.warmCache(cfg.CacheDir)
+	if cfg.ManifestDir != "" {
+		s.warmEntries = s.warmCache(cfg.ManifestDir)
 	}
 	return s
 }
@@ -219,7 +219,7 @@ func (s *Server) Handler() http.Handler {
 }
 
 // WarmEntries reports how many cached results boot restored from
-// CacheDir (the heliosd_cache_warm_entries gauge).
+// ManifestDir (the heliosd_cache_warm_entries gauge).
 func (s *Server) WarmEntries() int { return s.warmEntries }
 
 // FlightSize reports how many summaries the flight recorder currently
@@ -330,7 +330,7 @@ func (s *Server) recordFlight(fs *RequestSummary, tr *telemetry.Trace, start tim
 
 // finishTrace closes a request trace and, when TraceDir is set and the
 // sampler kept the trace, exports it as a standalone Chrome trace-event
-// file. Export failures are telemetry, never request failures.
+// file. Export failures are counted and logged, never request failures.
 func (s *Server) finishTrace(tr *telemetry.Trace) {
 	tr.Finish()
 	if v, _ := tr.Verdict(); s.cfg.TraceDir == "" || !v.Keep {
@@ -339,13 +339,17 @@ func (s *Server) finishTrace(tr *telemetry.Trace) {
 	ti := tr.Snapshot()
 	path := filepath.Join(s.cfg.TraceDir, fmt.Sprintf("trace-%d.json", ti.ID))
 	f, err := os.Create(path)
+	if err == nil {
+		err = telemetry.WriteChromeTrace(f, []telemetry.TraceInfo{ti})
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+	}
 	if err != nil {
 		s.logf("serve: trace export %s: %v", path, err)
-		return
-	}
-	defer f.Close()
-	if err := telemetry.WriteChromeTrace(f, []telemetry.TraceInfo{ti}); err != nil {
-		s.logf("serve: trace export %s: %v", path, err)
+		s.mu.Lock()
+		s.c.TraceExportErrors++
+		s.mu.Unlock()
 	}
 }
 
@@ -535,7 +539,7 @@ func (s *Server) handleRun(ctx0 context.Context, r *http.Request) (any, *Error) 
 	if fs != nil {
 		fs.Cache = verdict
 	}
-	if s.manifestDirs() != nil && !cached {
+	if s.cfg.ManifestDir != "" && !cached {
 		msp := tr.Start("manifest")
 		s.writeManifest(key, name, cfg, budget, res)
 		msp.End()
@@ -589,14 +593,10 @@ func (s *Server) runObs(ctx context.Context, req *RunRequest, name string, cfg o
 	if e != nil {
 		return nil, e
 	}
-	if s.manifestDirs() != nil {
-		msp := tr.Start("manifest")
-		s.writeManifest(key, name, cfg, budget, res)
-		msp.End()
-	}
 	if s.cfg.ManifestDir != "" {
-		art.Manifest = filepath.Join(s.cfg.ManifestDir,
-			fmt.Sprintf("%s-%s-%s.json", name, cfg.Mode, key[:12]))
+		msp := tr.Start("manifest")
+		art.Manifest = s.writeManifest(key, name, cfg, budget, res)
+		msp.End()
 	}
 	return &RunResponse{
 		Key:      key,
@@ -661,46 +661,31 @@ func (s *Server) emitArtifact(ctx context.Context, kind, ext, name string, cfg o
 	return art, nil
 }
 
-// manifestDirs lists the directories a completed run's manifest lands
-// in: ManifestDir (the operator-facing archive) and CacheDir (the
-// warm-start index the next boot scans), deduplicated.
-func (s *Server) manifestDirs() []string {
-	var dirs []string
-	if s.cfg.ManifestDir != "" {
-		dirs = append(dirs, s.cfg.ManifestDir)
-	}
-	if s.cfg.CacheDir != "" && s.cfg.CacheDir != s.cfg.ManifestDir {
-		dirs = append(dirs, s.cfg.CacheDir)
-	}
-	return dirs
-}
-
-// writeManifest records one completed run in the manifest directories,
-// stamped with the cache identity (ResultKey/Budget/Engine) warmCache
-// verifies on the next boot. Manifest failures are telemetry, not
-// request failures: the result is already computed and correct. The
-// files are written outside s.mu, which admission and the health and
-// metrics endpoints share; only the counters are updated under it.
-func (s *Server) writeManifest(key, name string, cfg ooo.Config, budget uint64, res *core.Result) {
+// writeManifest records one completed run in ManifestDir, stamped with
+// the cache identity (ResultKey/Budget/Engine) warmCache verifies on the
+// next boot, and returns the file's path. Manifest failures are
+// telemetry, not request failures: the result is already computed and
+// correct. The file is written outside s.mu, which admission and the
+// health and metrics endpoints share; only the counters are updated
+// under it.
+func (s *Server) writeManifest(key, name string, cfg ooo.Config, budget uint64, res *core.Result) string {
 	m := report.NewManifest(name, cfg.Mode, cfg, res.Stats)
 	m.ResultKey = key
 	m.Budget = budget
 	m.Engine = core.EngineVersion()
-	fname := fmt.Sprintf("%s-%s-%s.json", name, cfg.Mode, key[:12])
-	var written, failed uint64
-	for _, dir := range s.manifestDirs() {
-		path := filepath.Join(dir, fname)
-		if err := m.WriteFile(path); err != nil {
-			failed++
-			s.logf("serve: manifest %s: %v", path, err)
-			continue
-		}
-		written++
+	path := filepath.Join(s.cfg.ManifestDir, fmt.Sprintf("%s-%s-%s.json", name, cfg.Mode, key[:12]))
+	err := m.WriteFile(path)
+	if err != nil {
+		s.logf("serve: manifest %s: %v", path, err)
 	}
 	s.mu.Lock()
-	s.c.ManifestsWritten += written
-	s.c.ManifestErrors += failed
+	if err != nil {
+		s.c.ManifestErrors++
+	} else {
+		s.c.ManifestsWritten++
+	}
 	s.mu.Unlock()
+	return path
 }
 
 // resolveMatrix validates a workload×mode matrix and returns the

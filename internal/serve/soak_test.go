@@ -49,18 +49,12 @@ func TestServiceSoak(t *testing.T) {
 	cfg.RetryAfter = 5 * time.Millisecond
 	cfg.Telemetry = true
 	cfg.TraceRing = 512 // above the error-trace count, so no error ever needs evicting
-	// The campaign's sampler: the standard chain with the healthy-traffic
+	// The campaign's sampler: heliosd's rules with the healthy-traffic
 	// budget pinched to a non-refilling 8-trace burst (perSec 0), so the
-	// rate policy is guaranteed to run dry and SampledDropped > 0 is a
-	// hard assertion, not a timing accident. Seeded floor keeps verdicts
-	// reproducible across runs.
-	cfg.Sampler = sampling.NewChain(
-		sampling.Errors(),
-		sampling.SlowTail(99, 64),
-		sampling.SpanBoost(sampling.PrioSpan, "record", "degrade"),
-		sampling.Limit(sampling.All(), 0, 8),
-		sampling.Floor(0.01, 1),
-	)
+	// rate rule is guaranteed to run dry and SampledDropped > 0 is a
+	// hard assertion, not a timing accident. The seeded floor keeps
+	// verdicts reproducible across runs.
+	cfg.Sampler = sampling.New(1, 0, 8)
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -156,7 +150,8 @@ func TestServiceSoak(t *testing.T) {
 		if got := s.FlightSize(); got != want {
 			errs = append(errs, fmt.Errorf("flight recorder holds %d entries, want exactly %d", got, want))
 		}
-		for _, e := range s.flight.snapshot(0, 0) {
+		all, _ := s.flight.snapshot(0)
+		for _, e := range all {
 			if e.Outcome == "ok" {
 				continue
 			}

@@ -569,6 +569,34 @@ func TestTraceDirExport(t *testing.T) {
 	}
 }
 
+// TestTraceDirExportErrorsCounted: a TraceDir that cannot hold files
+// (here, a regular file) fails no request, and every failed export
+// counts on heliosd_trace_export_errors in both /metricz forms.
+func TestTraceDirExportErrorsCounted(t *testing.T) {
+	cfg := telemetryConfig()
+	cfg.TraceDir = filepath.Join(t.TempDir(), "not-a-dir")
+	if err := os.WriteFile(cfg.TraceDir, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, ts := newTestServer(t, cfg)
+	if resp, body := postJSON(t, ts.URL+"/v1/run", RunRequest{Workload: "crc32", Mode: "Helios"}); resp.StatusCode != 200 {
+		t.Fatalf("run with an unwritable TraceDir: status %d: %s", resp.StatusCode, body)
+	}
+	var doc struct {
+		ExportErrors uint64 `json:"heliosd_trace_export_errors"`
+	}
+	if err := json.Unmarshal(getBody(t, ts.URL+"/metricz", ""), &doc); err != nil {
+		t.Fatal(err)
+	}
+	if doc.ExportErrors != 1 {
+		t.Errorf("JSON heliosd_trace_export_errors = %d, want 1", doc.ExportErrors)
+	}
+	om := getBody(t, ts.URL+"/metricz?format=openmetrics", "")
+	if !strings.Contains(string(om), "\nheliosd_trace_export_errors_total 1\n") {
+		t.Errorf("OpenMetrics form lacks heliosd_trace_export_errors_total 1:\n%s", om)
+	}
+}
+
 // dropAll is a sampler that keeps no trace.
 type dropAll struct{}
 
@@ -577,19 +605,12 @@ func (dropAll) Sample(telemetry.TraceInfo) telemetry.SampleVerdict {
 }
 
 // TestSamplerGovernsDiskSinks: with a sampler that drops every trace,
-// neither disk sink — the TraceDir files nor the SpanLog NDJSON —
-// receives anything, while /metricz still counts every finished trace.
+// the TraceDir sink receives nothing, while /metricz still counts every
+// finished trace.
 func TestSamplerGovernsDiskSinks(t *testing.T) {
 	cfg := telemetryConfig()
 	cfg.Sampler = dropAll{}
 	cfg.TraceDir = t.TempDir()
-	spanLog := filepath.Join(t.TempDir(), "spans.ndjson")
-	f, err := os.Create(spanLog)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	cfg.SpanLog = f
 	_, ts := newTestServer(t, cfg)
 	postJSON(t, ts.URL+"/v1/run", RunRequest{Workload: "crc32", Mode: "Helios"})
 	postJSON(t, ts.URL+"/v1/run", RunRequest{Workload: "no_such_kernel"})
@@ -600,9 +621,6 @@ func TestSamplerGovernsDiskSinks(t *testing.T) {
 	}
 	if len(entries) != 0 {
 		t.Errorf("TraceDir has %d files for dropped traces, want 0", len(entries))
-	}
-	if b, err := os.ReadFile(spanLog); err != nil || len(b) != 0 {
-		t.Errorf("span log holds %d bytes for dropped traces (err %v), want 0", len(b), err)
 	}
 	var doc struct {
 		Finished uint64 `json:"heliosd_traces_finished"`

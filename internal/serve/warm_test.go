@@ -13,16 +13,16 @@ import (
 	"helios/internal/report"
 )
 
-// TestCacheWarmRoundTrip is the warm-start satellite end to end: a
-// first server computes results into -cache-dir manifests, a second
-// server booted on the same directory serves them as cache hits
-// without re-simulating, and the restored count is visible on
-// /metricz (the heliosd_cache_warm_entries gauge in both forms).
+// TestCacheWarmRoundTrip is the warm start end to end: a first server
+// computes results into -manifest-dir manifests, a second server booted
+// on the same directory serves them as cache hits without
+// re-simulating, and the restored count is visible on /metricz (the
+// heliosd_cache_warm_entries gauge in both forms).
 func TestCacheWarmRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 
 	cfg := testConfig()
-	cfg.CacheDir = dir
+	cfg.ManifestDir = dir
 	_, tsA := newTestServer(t, cfg)
 
 	for _, req := range []RunRequest{
@@ -39,7 +39,7 @@ func TestCacheWarmRoundTrip(t *testing.T) {
 	}
 	files, err := filepath.Glob(filepath.Join(dir, "*.json"))
 	if err != nil || len(files) != 2 {
-		t.Fatalf("cache dir holds %d manifests (%v), want 2", len(files), err)
+		t.Fatalf("manifest dir holds %d manifests (%v), want 2", len(files), err)
 	}
 
 	// Second boot on the same directory: both results must come back
@@ -93,7 +93,7 @@ func TestCacheWarmRoundTrip(t *testing.T) {
 func TestCacheWarmRejectsUntrusted(t *testing.T) {
 	dir := t.TempDir()
 	cfg := testConfig()
-	cfg.CacheDir = dir
+	cfg.ManifestDir = dir
 	_, tsA := newTestServer(t, cfg)
 	resp, body := postJSON(t, tsA.URL+"/v1/run", RunRequest{Workload: "crc32", Mode: "Helios"})
 	if resp.StatusCode != 200 {
@@ -101,7 +101,7 @@ func TestCacheWarmRejectsUntrusted(t *testing.T) {
 	}
 	files, err := filepath.Glob(filepath.Join(dir, "*.json"))
 	if err != nil || len(files) != 1 {
-		t.Fatalf("cache dir holds %d manifests, want 1", len(files))
+		t.Fatalf("manifest dir holds %d manifests, want 1", len(files))
 	}
 	good, err := os.ReadFile(files[0])
 	if err != nil {

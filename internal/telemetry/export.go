@@ -227,45 +227,3 @@ func maxI64(a, b int64) int64 {
 	}
 	return b
 }
-
-// ndjsonSpan is the per-span NDJSON line; ndjsonTrace closes each
-// trace's block of lines.
-type ndjsonSpan struct {
-	Type    string `json:"type"`
-	Trace   uint64 `json:"trace"`
-	Name    string `json:"name"`
-	Lane    int    `json:"lane"`
-	StartUS int64  `json:"start_us"`
-	DurUS   int64  `json:"dur_us"`
-	Unended bool   `json:"unended,omitempty"`
-	Attrs   []Attr `json:"attrs,omitempty"`
-}
-
-type ndjsonTrace struct {
-	Type    string `json:"type"`
-	Trace   uint64 `json:"trace"`
-	Name    string `json:"name"`
-	StartUS int64  `json:"start_us"`
-	DurUS   int64  `json:"dur_us"`
-	Spans   int    `json:"spans"`
-	Attrs   []Attr `json:"attrs,omitempty"`
-}
-
-// writeNDJSON emits one finished trace as NDJSON: each span on its own
-// line, then the trace summary line.
-func writeNDJSON(w io.Writer, ti TraceInfo) error {
-	enc := json.NewEncoder(w)
-	for _, sp := range ti.Spans {
-		if err := enc.Encode(ndjsonSpan{
-			Type: "span", Trace: ti.ID, Name: sp.Name, Lane: sp.Lane,
-			StartUS: ti.StartUS + sp.StartUS, DurUS: sp.DurUS,
-			Unended: sp.Unended, Attrs: sp.Attrs,
-		}); err != nil {
-			return err
-		}
-	}
-	return enc.Encode(ndjsonTrace{
-		Type: "trace", Trace: ti.ID, Name: ti.Name,
-		StartUS: ti.StartUS, DurUS: ti.DurUS, Spans: len(ti.Spans), Attrs: ti.Attrs,
-	})
-}

@@ -20,16 +20,15 @@
 //
 //   - Determinism quarantine. Spans measure wall-clock time, which is
 //     nondeterministic by nature; their output (Chrome trace JSON,
-//     NDJSON span logs, OpenMetrics exposition) must therefore never be
-//     spliced into a deterministic surface such as `experiments
-//     -metrics` or a manifest's stats block. Exports live in their own
+//     OpenMetrics exposition) must therefore never be spliced into a
+//     deterministic surface such as `experiments -metrics` or a
+//     manifest's stats block. Exports live in their own
 //     files/endpoints, exactly like ooo.Stats.WallRows vs Rows.
 package telemetry
 
 import (
 	"context"
 	"fmt"
-	"io"
 	"sort"
 	"strconv"
 	"sync"
@@ -43,18 +42,13 @@ type Options struct {
 	// deterministic clock so span math is byte-checkable.
 	Clock func() time.Time
 	// Ring is how many finished traces the tracer retains for export
-	// (/tracez, TraceDir). 0 means DefaultRing; negative disables
-	// retention.
+	// (/tracez, TraceDir); below 1 means DefaultRing.
 	Ring int
-	// NDJSON, when non-nil, receives one JSON line per finished span
-	// and per finished trace, for the traces the sampler keeps. Write
-	// errors latch (sticky, like obs.Observer): the first error is kept
-	// and further writes stop.
-	NDJSON io.Writer
 	// Sampler decides at Finish which traces the ring retains and with
 	// what eviction priority. Nil keeps every finished trace at priority
-	// zero, which (ties evict oldest-first) reproduces the pre-sampling
-	// FIFO ring exactly.
+	// zero under policy "all", a plain FIFO ring (ties evict
+	// oldest-first) for testing the tracer on its own; heliosd always
+	// installs sampling.Sampler.
 	Sampler Sampler
 }
 
@@ -75,7 +69,7 @@ type SampleVerdict struct {
 // per trace at Finish, after the trace is sealed, with its complete
 // snapshot; implementations may keep internal state (rate limiters,
 // latency percentile trackers) and must be safe for concurrent use.
-// The canonical implementation is sampling.Chain.
+// heliosd installs sampling.Sampler.
 type Sampler interface {
 	Sample(TraceInfo) SampleVerdict
 }
@@ -102,9 +96,6 @@ type Metrics struct {
 	// RingEvicted counts finished traces pushed out of the retention
 	// ring before being exported.
 	RingEvicted uint64
-	// ExportErrors counts NDJSON sink write failures (the first error
-	// latches and stops the sink).
-	ExportErrors uint64
 	// SampledKept / SampledDropped split TracesFinished by the sampler's
 	// tail verdict. Kept traces entered the ring (they may be evicted
 	// later — RingEvicted); dropped traces still fed the histograms but
@@ -127,7 +118,6 @@ func (m Metrics) Rows() [][2]string {
 		{"span_double_ends", u(m.SpanDoubleEnds)},
 		{"spans_dropped", u(m.SpansDropped)},
 		{"ring_evicted", u(m.RingEvicted)},
-		{"export_errors", u(m.ExportErrors)},
 		{"sampled_kept", u(m.SampledKept)},
 		{"sampled_dropped", u(m.SampledDropped)},
 	}
@@ -171,7 +161,7 @@ type Tracer struct {
 	epoch time.Time
 
 	// Lifecycle counters are atomics so span hooks never take two
-	// locks; the mu below guards only the ring, histograms and sink.
+	// locks; the mu below guards only the ring and histograms.
 	m struct {
 		tracesStarted  atomic.Uint64
 		tracesFinished atomic.Uint64
@@ -180,7 +170,6 @@ type Tracer struct {
 		spanDoubleEnds atomic.Uint64
 		spansDropped   atomic.Uint64
 		ringEvicted    atomic.Uint64
-		exportErrors   atomic.Uint64
 		sampledKept    atomic.Uint64
 		sampledDropped atomic.Uint64
 	}
@@ -195,8 +184,6 @@ type Tracer struct {
 	keptBy    map[string]uint64     // deciding policy → kept count
 	evictedBy map[string]uint64     // evicted trace's policy → evictions
 	hist      map[string]*Histogram // span name → duration µs, exemplars from kept traces
-	ndjson    io.Writer
-	ndjsonErr error
 }
 
 // retainedTrace is one ring entry: the trace plus the verdict that
@@ -219,16 +206,12 @@ func New(o Options) *Tracer {
 		keptBy:    make(map[string]uint64),
 		evictedBy: make(map[string]uint64),
 		hist:      make(map[string]*Histogram),
-		ndjson:    o.NDJSON,
 	}
 	if t.clock == nil {
 		t.clock = time.Now
 	}
-	if t.ringCap == 0 {
+	if t.ringCap < 1 {
 		t.ringCap = DefaultRing
-	}
-	if t.ringCap < 0 {
-		t.ringCap = 0
 	}
 	t.epoch = t.clock()
 	return t
@@ -247,7 +230,6 @@ func (t *Tracer) Metrics() Metrics {
 		SpanDoubleEnds: t.m.spanDoubleEnds.Load(),
 		SpansDropped:   t.m.spansDropped.Load(),
 		RingEvicted:    t.m.ringEvicted.Load(),
-		ExportErrors:   t.m.exportErrors.Load(),
 		SampledKept:    t.m.sampledKept.Load(),
 		SampledDropped: t.m.sampledDropped.Load(),
 	}
@@ -277,16 +259,6 @@ func (t *Tracer) Histograms() []NamedHistogram {
 type NamedHistogram struct {
 	Name string
 	Hist Histogram
-}
-
-// SinkErr reports the latched NDJSON sink error, if any. Safe on nil.
-func (t *Tracer) SinkErr() error {
-	if t == nil {
-		return nil
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.ndjsonErr
 }
 
 // Trace is one request's span collection. A nil *Trace is the disabled
@@ -483,9 +455,9 @@ func (sp *Span) endSpan() {
 }
 
 // Finish closes the trace: the trace's end time is stamped, span
-// durations are folded into the tracer's histograms, the trace joins
-// the retention ring, and the NDJSON sink (if any) receives the span
-// log. Finishing twice is a no-op. Spans still open at Finish stay
+// durations are folded into the tracer's histograms, and the sampler
+// decides whether the trace joins the retention ring. Finishing twice
+// is a no-op. Spans still open at Finish stay
 // open — Balance exposes the leak — and export clamps their duration
 // to the trace end (as it does for an End that races past Finish).
 //
@@ -515,8 +487,8 @@ func (tr *Trace) finish() {
 // retire folds a just-finished trace into the tracer-level aggregates:
 // the sampler's tail verdict is computed (and stamped on the trace for
 // the flight recorder), and span durations always feed the histograms.
-// Only kept traces become exemplars, join the ring — evicting the
-// lowest-priority entry first when full — and reach the NDJSON sink.
+// Only kept traces become exemplars and join the ring, evicting the
+// lowest-priority entry first when full.
 func (t *Tracer) retire(tr *Trace) {
 	info := tr.Snapshot()
 	verdict := SampleVerdict{Keep: true, Policy: "all"}
@@ -537,15 +509,7 @@ func (t *Tracer) retire(tr *Trace) {
 		t.observeLocked(info.Spans[i].Name, uint64(info.Spans[i].DurUS), exemplarID, nowUS)
 	}
 	t.observeLocked(info.Name, uint64(info.DurUS), exemplarID, nowUS)
-	switch {
-	case !verdict.Keep:
-		t.m.sampledDropped.Add(1)
-	case t.ringCap <= 0:
-		// Retention disabled: the verdict still counts as kept so the
-		// sampling balance (kept + dropped == finished) holds.
-		t.m.sampledKept.Add(1)
-		t.keptBy[verdict.Policy]++
-	default:
+	if verdict.Keep {
 		t.m.sampledKept.Add(1)
 		t.keptBy[verdict.Policy]++
 		if len(t.ring) >= t.ringCap {
@@ -553,20 +517,10 @@ func (t *Tracer) retire(tr *Trace) {
 		}
 		t.ringSeq++
 		t.ring = append(t.ring, retainedTrace{tr: tr, prio: verdict.Priority, policy: verdict.Policy, seq: t.ringSeq})
+	} else {
+		t.m.sampledDropped.Add(1)
 	}
-	sink := t.ndjson
-	broken := t.ndjsonErr != nil
 	t.mu.Unlock()
-	if sink != nil && !broken && verdict.Keep {
-		if err := writeNDJSON(sink, info); err != nil {
-			t.m.exportErrors.Add(1)
-			t.mu.Lock()
-			if t.ndjsonErr == nil {
-				t.ndjsonErr = err
-			}
-			t.mu.Unlock()
-		}
-	}
 }
 
 // observeLocked folds one duration into name's histogram, with

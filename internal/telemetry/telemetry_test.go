@@ -222,45 +222,6 @@ func TestContextThreading(t *testing.T) {
 	req.Finish()
 }
 
-func TestNDJSONSink(t *testing.T) {
-	c := newFakeClock()
-	var buf bytes.Buffer
-	tr := telemetry.New(telemetry.Options{Clock: c.Now, NDJSON: &buf})
-	req := tr.StartTrace("r")
-	sp := req.Start("x")
-	c.Advance(us(3))
-	sp.End()
-	req.Finish()
-	if err := tr.SinkErr(); err != nil {
-		t.Fatalf("SinkErr: %v", err)
-	}
-	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	if len(lines) != 2 {
-		t.Fatalf("NDJSON lines = %d, want 2:\n%s", len(lines), buf.String())
-	}
-	var span struct {
-		Type  string `json:"type"`
-		Name  string `json:"name"`
-		DurUS int64  `json:"dur_us"`
-	}
-	if err := json.Unmarshal([]byte(lines[0]), &span); err != nil {
-		t.Fatalf("span line: %v", err)
-	}
-	if span.Type != "span" || span.Name != "x" || span.DurUS != 3 {
-		t.Fatalf("span line = %+v", span)
-	}
-	var trace struct {
-		Type  string `json:"type"`
-		Spans int    `json:"spans"`
-	}
-	if err := json.Unmarshal([]byte(lines[1]), &trace); err != nil {
-		t.Fatalf("trace line: %v", err)
-	}
-	if trace.Type != "trace" || trace.Spans != 1 {
-		t.Fatalf("trace line = %+v", trace)
-	}
-}
-
 func TestChromeTraceExport(t *testing.T) {
 	c := newFakeClock()
 	tr := telemetry.New(telemetry.Options{Clock: c.Now})

@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
-# heliosd end-to-end smoke: build the server and client, start the
-# server, drive every endpoint plus the hostile-input taxonomy through
-# heliosctl, then SIGTERM the server mid-flight and assert a clean
-# drain (client request completes, server exits 0, manifests flushed).
+# heliosd end-to-end smoke: build the server and client, pin the
+# server's flag surface, start the server, drive every endpoint plus
+# the hostile-input taxonomy through heliosctl, then SIGTERM the server
+# mid-flight and assert a clean drain (client request completes, server
+# exits 0, manifests flushed).
 #
 # Mirrors the CI heliosd-smoke job; run locally via `make serve-smoke`.
 set -euo pipefail
@@ -18,6 +19,17 @@ echo "== build"
 go build -o "$WORK/heliosd" ./cmd/heliosd
 go build -o "$WORK/heliosctl" ./cmd/heliosctl
 CTL=("$WORK/heliosctl" -server "$BASE")
+
+echo "== flag surface"
+# Adding a knob is a deliberate edit to this list.
+WANT_FLAGS="addr artifact-dir deadline drain insts manifest-dir max-body max-deadline queue retry-after telemetry trace-dir workers"
+FLAGS="$("$WORK/heliosd" -h 2>&1 | sed -n 's/^  -\([a-z-]*\).*/\1/p' | LC_ALL=C sort | xargs)"
+[ "$FLAGS" = "$WANT_FLAGS" ] || { echo "FAIL: heliosd flags are [$FLAGS], want [$WANT_FLAGS]"; exit 1; }
+STATUS=0
+"$WORK/heliosd" -telemetry=false -trace-dir "$WORK/never" 2>"$WORK/reject.log" || STATUS=$?
+[ "$STATUS" -eq 2 ] || { echo "FAIL: -telemetry=false -trace-dir exited $STATUS, want 2"; exit 1; }
+[ ! -e "$WORK/never" ] || { echo "FAIL: the rejected boot created its trace dir"; exit 1; }
+echo "ok: 13 flags; a trace dir that can never fill exits 2"
 
 echo "== start heliosd"
 # Small -max-body so the oversized probe stays within shell arg limits;

@@ -11,16 +11,16 @@
 #     workload/config/budget — the replay-determinism contract
 #   - GET /tracez yields a Perfetto-loadable Chrome trace with spans
 #     (kept as $WORK/tracez.json; CI uploads it as a build artifact)
-#   - per-request trace files land in -trace-dir
+#   - the traces the tail sampler keeps land in -trace-dir
 #   - the server still drains cleanly with telemetry enabled
 #
-# A second leg restarts heliosd with tail sampling (-sample) and a warm
-# cache directory, then proves the triage pipeline on real processes:
-# `heliosctl triage` surfaces the injected error with a trace deep
-# link, `heliosctl trace -id` resolves it, the OpenMetrics exposition
-# carries `# {trace_id=...}` exemplars and passes `metrics -om -lint`
-# (including exemplar→/tracez resolution), and a third boot on the same
-# -cache-dir serves the first request as a warm cache hit.
+# A second leg restarts heliosd on a manifest directory, then proves
+# the triage pipeline on real processes: `heliosctl triage` surfaces the
+# injected error with a trace deep link, `heliosctl trace -id` resolves
+# it, the OpenMetrics exposition carries `# {trace_id=...}` exemplars
+# and passes `metrics -om -lint` (including exemplar→/tracez
+# resolution), and a third boot on the same -manifest-dir serves the
+# first request as a warm cache hit.
 #
 # Mirrors the CI telemetry-smoke job; run locally via `make telemetry-smoke`.
 set -euo pipefail
@@ -41,7 +41,7 @@ CTL=("$WORK/heliosctl" -server "$BASE")
 
 echo "== start heliosd (telemetry on)"
 "$WORK/heliosd" -addr "$ADDR" -insts 5000 -trace-dir "$WORK/traces" \
-  -span-log "$WORK/spans.ndjson" -drain 30s 2>"$WORK/heliosd.log" &
+  -drain 30s 2>"$WORK/heliosd.log" &
 SERVER_PID=$!
 "${CTL[@]}" health -wait 15s >/dev/null
 echo "ok: healthy"
@@ -88,8 +88,7 @@ for span in admission cache_read record replay; do
 done
 N_TRACE_FILES="$(ls "$WORK/traces" | wc -l)"
 [ "$N_TRACE_FILES" -ge 3 ] || { echo "FAIL: trace-dir has $N_TRACE_FILES files, want >=3"; exit 1; }
-grep -q '"type":"span"' "$WORK/spans.ndjson" || { echo "FAIL: span log is empty"; exit 1; }
-echo "ok: tracez + $N_TRACE_FILES trace files + span log"
+echo "ok: tracez + $N_TRACE_FILES trace files"
 
 echo "== SIGTERM drains cleanly with telemetry on"
 kill -TERM "$SERVER_PID"
@@ -97,9 +96,9 @@ wait "$SERVER_PID" || { echo "FAIL: heliosd exited non-zero"; cat "$WORK/heliosd
 grep -q 'drained clean' "$WORK/heliosd.log" || { echo "FAIL: no clean-drain log line"; exit 1; }
 echo "ok: clean drain"
 
-echo "== sampling leg: restart with -sample and a warm cache dir"
-"$WORK/heliosd" -addr "$ADDR" -insts 5000 -sample \
-  -cache-dir "$WORK/cache" -flight 64 -drain 30s 2>"$WORK/heliosd2.log" &
+echo "== triage leg: restart on a manifest dir"
+"$WORK/heliosd" -addr "$ADDR" -insts 5000 \
+  -manifest-dir "$WORK/manifests" -drain 30s 2>"$WORK/heliosd2.log" &
 SERVER_PID=$!
 "${CTL[@]}" health -wait 15s >/dev/null
 "${CTL[@]}" run -workload crc32 -mode Helios >/dev/null
@@ -136,9 +135,9 @@ kill -TERM "$SERVER_PID"
 wait "$SERVER_PID" || { echo "FAIL: sampled heliosd exited non-zero"; cat "$WORK/heliosd2.log"; exit 1; }
 
 echo "== warm restart serves yesterday's results as cache hits"
-N_MANIFESTS="$(ls "$WORK/cache" | wc -l)"
-[ "$N_MANIFESTS" -ge 2 ] || { echo "FAIL: cache dir has $N_MANIFESTS manifests, want >=2"; exit 1; }
-"$WORK/heliosd" -addr "$ADDR" -insts 5000 -cache-dir "$WORK/cache" \
+N_MANIFESTS="$(ls "$WORK/manifests" | wc -l)"
+[ "$N_MANIFESTS" -ge 2 ] || { echo "FAIL: manifest dir has $N_MANIFESTS manifests, want >=2"; exit 1; }
+"$WORK/heliosd" -addr "$ADDR" -insts 5000 -manifest-dir "$WORK/manifests" \
   -drain 30s 2>"$WORK/heliosd3.log" &
 SERVER_PID=$!
 "${CTL[@]}" health -wait 15s >/dev/null
