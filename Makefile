@@ -41,6 +41,8 @@ fuzz-short:
 	$(GO) test -fuzz=FuzzReadFrom -fuzztime=30s ./internal/trace
 	$(GO) test -fuzz=FuzzPipelineModesAgree -fuzztime=30s ./internal/ooo
 
+# CI's test job runs this target: one figure at a tiny budget plus the
+# deterministic record/replay counters.
 experiments-smoke:
 	$(GO) run ./cmd/experiments -id fig2 -insts 2000 -metrics
 
@@ -68,7 +70,7 @@ serve-smoke:
 telemetry-smoke:
 	./scripts/telemetry_smoke.sh
 
-# Matches the CI obs-smoke job: one observed run producing a
+# CI's obs-smoke job runs this target: one observed run producing a
 # Konata-loadable pipeline trace plus the interval metrics CSV.
 obs-smoke:
 	mkdir -p obs-artifacts
@@ -77,10 +79,12 @@ obs-smoke:
 		-events obs-artifacts/crc32.events.ndjson \
 		-interval-metrics obs-artifacts/crc32.intervals.csv \
 		-interval 1000
+	@head -n 14 obs-artifacts/crc32.pipeview
+	@head -n 5 obs-artifacts/crc32.intervals.csv
 
-# Matches the CI report-smoke job: simulate one MiBench kernel under the
-# NoFusion baseline and Helios, emit per-run manifests, and render the
-# cross-run differential report.
+# CI's report-smoke job runs this target: simulate one MiBench kernel
+# under the NoFusion baseline and Helios, emit per-run manifests, and
+# render the cross-run differential report.
 report-smoke:
 	mkdir -p report-artifacts/baseline report-artifacts/helios
 	$(GO) run ./cmd/heliossim -workload bitcount -insts 50000 -mode NoFusion \

@@ -1,5 +1,9 @@
 // Command experiments regenerates the paper's tables and figures.
 //
+// It is the suite driver: every table comes from one shared
+// record-once/replay-many cache. Single runs, their manifests and obs
+// streams are heliossim's job; trace capture is rvemu's.
+//
 // Usage:
 //
 //	experiments                  # everything, paper order
@@ -7,7 +11,7 @@
 //	experiments -insts 100000    # smaller budget per run
 //	experiments -csv             # machine-readable output
 //	experiments -workloads xz,gcc,typeset
-//	experiments -obs out/ -obs-mode Helios   # per-workload pipeline traces
+//	experiments -trace sched.json # scheduler timeline for Perfetto
 package main
 
 import (
@@ -15,38 +19,41 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
-	"path/filepath"
 	"strings"
 
 	"helios/internal/experiments"
 	"helios/internal/fusion"
-	"helios/internal/obs"
 	"helios/internal/ooo"
 	"helios/internal/telemetry"
 )
 
-func main() {
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is the whole driver. It returns the exit status (0 on success, 1
+// when an experiment fails, 2 on a flag error) only after its deferred
+// Chrome-trace writer has run, so a failed run keeps its timeline.
+func run(args []string, stdout, stderr io.Writer) (code int) {
+	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		id       = flag.String("id", "", "experiment id ("+strings.Join(experiments.IDs(), ", ")+"); empty = all")
-		insts    = flag.Uint64("insts", 0, "instruction budget per run (0 = workload defaults)")
-		csv      = flag.Bool("csv", false, "emit CSV instead of aligned tables")
-		worklist = flag.String("workloads", "", "comma-separated workload subset (default: all)")
-		metrics  = flag.Bool("metrics", false, "print record/replay trace-layer counters after the tables (deterministic: byte-identical across identical runs)")
-		walltime = flag.Bool("walltime", false, "also print wall-time breakdown to stderr (nondeterministic; includes per-cell walls and realized speedup)")
-		timeout  = flag.Duration("timeout", 0, "abort the whole suite after this wall time (0 = no limit)")
-		parallel = flag.Int("parallel", 0, "scheduler workers for the replay fan-out (0 = GOMAXPROCS, 1 = serial; output is byte-identical for every value)")
-
-		obsDir      = flag.String("obs", "", "observed-suite mode: write per-workload pipeview/events/interval files into this directory and exit")
-		obsMode     = flag.String("obs-mode", "Helios", "fusion configuration for -obs runs")
-		obsInterval = flag.Uint64("obs-interval", 10000, "interval sampler period in cycles for -obs runs")
-
-		manifestDir  = flag.String("manifest", "", "manifest mode: write one per-run JSON manifest per workload into this directory and exit (input for heliosreport)")
-		manifestMode = flag.String("manifest-mode", "Helios", "fusion configuration for -manifest runs")
-
-		traceOut = flag.String("trace", "", "write a Chrome trace-event JSON scheduler timeline to this file (wall-clock data; quarantined from stdout, loadable in Perfetto)")
+		id       = fs.String("id", "", "experiment id ("+strings.Join(experiments.IDs(), ", ")+"); empty = all")
+		insts    = fs.Uint64("insts", 0, "instruction budget per run (0 = workload defaults)")
+		csv      = fs.Bool("csv", false, "emit CSV instead of aligned tables")
+		worklist = fs.String("workloads", "", "comma-separated workload subset (default: all)")
+		metrics  = fs.Bool("metrics", false, "print record/replay trace-layer counters after the tables (deterministic: byte-identical across identical runs)")
+		walltime = fs.Bool("walltime", false, "also print wall-time breakdown to stderr (nondeterministic; includes per-cell walls and realized speedup)")
+		timeout  = fs.Duration("timeout", 0, "abort the whole suite after this wall time (0 = no limit)")
+		parallel = fs.Int("parallel", 0, "scheduler workers for the replay fan-out (0 = GOMAXPROCS, 1 = serial; output is byte-identical for every value)")
+		traceOut = fs.String("trace", "", "write a Chrome trace-event JSON scheduler timeline to this file (wall-clock data; quarantined from stdout, loadable in Perfetto)")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 
 	ctx := context.Background()
 	if *timeout > 0 {
@@ -59,23 +66,15 @@ func main() {
 	// emits one span per cell on a per-worker lane — with -parallel this
 	// is the scheduler utilization timeline. The Chrome JSON goes to its
 	// own file, never stdout: span times are wall-clock and must stay
-	// out of the deterministic -metrics surface (DESIGN.md §16).
-	var suiteTrace *telemetry.Trace
-	var tracer *telemetry.Tracer
+	// out of the deterministic -metrics surface (DESIGN.md §15).
 	if *traceOut != "" {
-		tracer = telemetry.New(telemetry.Options{})
-		suiteTrace = tracer.StartTrace("experiments")
+		tracer := telemetry.New(telemetry.Options{})
+		suiteTrace := tracer.StartTrace("experiments")
 		ctx = telemetry.WithTrace(ctx, suiteTrace)
 		defer func() {
 			suiteTrace.Finish()
-			f, err := os.Create(*traceOut)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				return
-			}
-			defer f.Close()
-			if err := telemetry.WriteChromeTrace(f, tracer.Finished()); err != nil {
-				fmt.Fprintln(os.Stderr, err)
+			if err := writeTrace(*traceOut, tracer); err != nil && code == 0 {
+				code = fail(stderr, err)
 			}
 		}()
 	}
@@ -86,131 +85,61 @@ func main() {
 		h.Workloads = strings.Split(*worklist, ",")
 	}
 
-	if *obsDir != "" {
-		runObserved(ctx, h, *obsDir, *obsMode, *obsInterval)
-		return
-	}
-
-	if *manifestDir != "" {
-		m, ok := fusion.ModeByName(*manifestMode)
-		if !ok {
-			fmt.Fprintf(os.Stderr, "unknown -manifest-mode %q\n", *manifestMode)
-			os.Exit(1)
-		}
-		if err := h.WriteManifests(ctx, *manifestDir, m); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			var se *ooo.SimError
-			if errors.As(err, &se) {
-				fmt.Fprintf(os.Stderr, "\ncrash dump:\n%s\n", se.JSON())
-			}
-			os.Exit(1)
-		}
-		fmt.Printf("wrote %d manifests (%s) to %s\n", len(h.Workloads), m, *manifestDir)
-		return
-	}
-
-	emit := func(idName string) {
-		tbl, err := h.Run(ctx, idName)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "%s: %v\n", idName, err)
-			var se *ooo.SimError
-			if errors.As(err, &se) {
-				fmt.Fprintf(os.Stderr, "\ncrash dump:\n%s\n", se.JSON())
-			}
-			os.Exit(1)
-		}
-		if *csv {
-			fmt.Printf("# %s\n%s\n", idName, tbl.CSV())
-		} else {
-			fmt.Printf("%s\n", tbl)
-		}
-	}
-
-	finish := func() {
-		if *metrics {
-			fmt.Printf("%s\n", h.MetricsTable())
-		}
-		if *walltime {
-			// Wall times are nondeterministic by nature; stderr keeps
-			// stdout byte-stable for diffing identical runs.
-			fmt.Fprintf(os.Stderr, "%s\n", h.WallTimeTable())
-		}
-	}
-
+	ids := experiments.IDs()
 	if *id != "" {
-		// A traced single-experiment run still warms through the
-		// scheduler so the timeline shows the parallel fan-out; the
-		// figure then reads the warmed cache.
-		if *traceOut != "" {
-			h.Suite.PrefetchN(ctx, h.Workloads, fusion.Modes, *parallel)
-		}
-		emit(*id)
-		finish()
-		return
+		ids = []string{*id}
 	}
 	// Warm the cache before printing everything, fanning workload×mode
-	// cells across the scheduler's workers.
-	h.Suite.PrefetchN(ctx, h.Workloads, fusion.Modes, *parallel)
-	for _, idName := range experiments.IDs() {
-		emit(idName)
+	// cells across the scheduler's workers. A traced single-experiment
+	// run warms too, so its timeline shows the parallel fan-out; the
+	// figure then reads the warmed cache.
+	if *id == "" || *traceOut != "" {
+		h.Suite.PrefetchN(ctx, h.Workloads, fusion.Modes, *parallel)
 	}
-	finish()
-}
-
-// runObserved is the -obs suite mode: one observed replay per workload,
-// each producing a Konata-loadable O3PipeView trace, an NDJSON event
-// stream and an interval CSV under dir.
-func runObserved(ctx context.Context, h *experiments.Harness, dir, modeName string, interval uint64) {
-	m, ok := fusion.ModeByName(modeName)
-	if !ok {
-		fmt.Fprintf(os.Stderr, "unknown -obs-mode %q\n", modeName)
-		os.Exit(1)
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	for _, name := range h.Workloads {
-		if err := observeOne(ctx, h, dir, name, m, interval); err != nil {
-			fmt.Fprintf(os.Stderr, "%s: %v\n", name, err)
-			var se *ooo.SimError
-			if errors.As(err, &se) {
-				fmt.Fprintf(os.Stderr, "\ncrash dump:\n%s\n", se.JSON())
-			}
-			os.Exit(1)
+	for _, idName := range ids {
+		tbl, err := h.Run(ctx, idName)
+		if err != nil {
+			return fail(stderr, fmt.Errorf("%s: %w", idName, err))
+		}
+		if *csv {
+			fmt.Fprintf(stdout, "# %s\n%s\n", idName, tbl.CSV())
+		} else {
+			fmt.Fprintf(stdout, "%s\n", tbl)
 		}
 	}
+	if *metrics {
+		fmt.Fprintf(stdout, "%s\n", h.MetricsTable())
+	}
+	if *walltime {
+		// Wall times are nondeterministic by nature; stderr keeps
+		// stdout byte-stable for diffing identical runs.
+		fmt.Fprintf(stderr, "%s\n", h.WallTimeTable())
+	}
+	return 0
 }
 
-// observeOne runs a single observed replay, writing the three trace
-// files for one workload.
-func observeOne(ctx context.Context, h *experiments.Harness, dir, name string, m fusion.Mode, interval uint64) error {
-	pv, err := os.Create(filepath.Join(dir, name+".pipeview"))
+// writeTrace writes the tracer's finished spans to path as Chrome
+// trace-event JSON.
+func writeTrace(path string, tracer *telemetry.Tracer) error {
+	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	evf, err := os.Create(filepath.Join(dir, name+".events.ndjson"))
-	if err != nil {
-		pv.Close()
+	if err := telemetry.WriteChromeTrace(f, tracer.Finished()); err != nil {
+		f.Close()
 		return err
 	}
-	mf, err := os.Create(filepath.Join(dir, name+".intervals.csv"))
-	if err != nil {
-		pv.Close()
-		evf.Close()
-		return err
+	return f.Close()
+}
+
+// fail prints err and returns exit status 1. If the failure is a
+// structured pipeline crash, the full JSON dump follows the one-line
+// summary so the state at the point of death is preserved.
+func fail(stderr io.Writer, err error) int {
+	fmt.Fprintln(stderr, err)
+	var se *ooo.SimError
+	if errors.As(err, &se) {
+		fmt.Fprintf(stderr, "\ncrash dump:\n%s\n", se.JSON())
 	}
-	ob := &obs.Observer{PipeView: pv, Events: evf, Metrics: mf, SampleEvery: interval}
-	r, runErr := h.Observe(ctx, name, m, ob)
-	for _, f := range []*os.File{pv, evf, mf} {
-		if cerr := f.Close(); cerr != nil && runErr == nil {
-			runErr = cerr
-		}
-	}
-	if runErr != nil {
-		return runErr
-	}
-	fmt.Printf("%-14s %s/%v: %d insts, %d cycles, IPC %.3f\n",
-		name, dir, m, r.Stats.CommittedInsts, r.Stats.Cycles, r.Stats.IPC())
-	return nil
+	return 1
 }

@@ -1,8 +1,8 @@
 // Command heliosreport compares two directories of per-run manifests
-// (written by `heliossim -manifest` or `experiments -manifest`) and
-// renders a deterministic differential report: per-workload IPC deltas
-// decomposed into top-down slot-bucket movement, fusion-coverage
-// shifts, and latency-histogram percentile shifts.
+// (written by `heliossim -manifest`, one run per file) and renders a
+// deterministic differential report: per-workload IPC deltas decomposed
+// into top-down slot-bucket movement, fusion-coverage shifts, and
+// latency-histogram percentile shifts.
 //
 // Usage:
 //

@@ -1,12 +1,17 @@
 // Command heliossim runs one workload on the cycle-level core model under
 // a chosen fusion configuration and prints the detailed statistics.
 //
+// It is the single-run driver: rvemu captures trace files, experiments
+// renders the paper's figures, and heliossim replays one workload (live
+// or from a capture) under one configuration, or under all six with
+// -compare. A single run can also write its manifest and obs streams.
+//
 // Usage:
 //
 //	heliossim -workload xz -mode Helios [-insts 350000]
-//	heliossim -workload xz -trace-out xz.trace.gz   # record the stream
-//	heliossim -trace-in xz.trace.gz -compare        # replay it per config
+//	heliossim -trace-in xz.trace.gz -compare        # replay an rvemu capture per config
 //	heliossim -workload xz -timeout 30s             # bound the wall time
+//	heliossim -workload xz -manifest xz.json        # config + stats + build, for heliosreport
 //	heliossim -workload crc32 -pipeview crc32.pv    # Konata-loadable trace
 //	heliossim -workload crc32 -interval-metrics m.csv -interval 1000
 //	heliossim -list
@@ -14,12 +19,10 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
-	"net/http"
-	_ "net/http/pprof" // -pprof serves the default mux
+	"io"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -37,51 +40,57 @@ import (
 	"helios/internal/workloads"
 )
 
-func main() {
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is the whole driver. It returns the exit status (0 on success, 1
+// when the run fails, 2 on a flag error) only after its deferred CPU
+// profile and obs-file writers have run, so a failed run keeps them.
+func run(args []string, stdout, stderr io.Writer) (code int) {
+	fs := flag.NewFlagSet("heliossim", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		workload = flag.String("workload", "crc32", "workload name (see -list)")
-		mode     = flag.String("mode", "Helios", "fusion configuration: "+modeNames())
-		insts    = flag.Uint64("insts", 0, "instruction budget (0 = workload default)")
-		list     = flag.Bool("list", false, "list workloads and exit")
-		compare  = flag.Bool("compare", false, "run every fusion configuration and compare IPC")
-		parallel = flag.Int("parallel", 0, "-compare workers (0 = GOMAXPROCS, 1 = serial; the table is byte-identical for every value)")
-		traceOut = flag.String("trace-out", "", "record the committed stream to this file (gzip-framed binary)")
-		traceIn  = flag.String("trace-in", "", "simulate a previously recorded stream instead of emulating")
-		timeout  = flag.Duration("timeout", 0, "abort the whole run after this wall time (0 = no limit)")
-		jsonOut  = flag.Bool("json", false, "dump the full statistics as JSON instead of the human-readable report")
-		manifest = flag.String("manifest", "", "write a per-run JSON manifest (config + stats + build identity) to this file")
+		workload = fs.String("workload", "crc32", "workload name (see -list)")
+		mode     = fs.String("mode", "Helios", "fusion configuration: "+modeNames())
+		insts    = fs.Uint64("insts", 0, "instruction budget (0 = workload default, or the whole -trace-in file)")
+		list     = fs.Bool("list", false, "list workloads and exit")
+		compare  = fs.Bool("compare", false, "run every fusion configuration and compare IPC")
+		traceIn  = fs.String("trace-in", "", "simulate a stream recorded by rvemu -trace-out instead of emulating")
+		timeout  = fs.Duration("timeout", 0, "abort the whole run after this wall time (0 = no limit)")
+		manifest = fs.String("manifest", "", "write a per-run JSON manifest (config + stats + build identity) to this file")
 
-		pipeview    = flag.String("pipeview", "", "write a gem5 O3PipeView pipeline trace (Konata-loadable) to this file")
-		events      = flag.String("events", "", "write per-µop NDJSON pipeline events to this file")
-		intervalCSV = flag.String("interval-metrics", "", "write the interval metrics time series (CSV) to this file")
-		interval    = flag.Uint64("interval", 10000, "interval sampler period in cycles (with -interval-metrics)")
+		pipeview    = fs.String("pipeview", "", "write a gem5 O3PipeView pipeline trace (Konata-loadable) to this file")
+		events      = fs.String("events", "", "write per-µop NDJSON pipeline events to this file")
+		intervalCSV = fs.String("interval-metrics", "", "write the interval metrics time series (CSV) to this file")
+		interval    = fs.Uint64("interval", obs.DefaultInterval, "interval sampler period in cycles (with -interval-metrics; must be > 0)")
 
-		pprofAddr  = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. :6060) for host-side profiling")
-		cpuprofile = flag.String("cpuprofile", "", "write a pprof CPU profile of the simulator itself to this file")
+		cpuprofile = fs.String("cpuprofile", "", "write a pprof CPU profile of the simulator itself to this file")
 	)
-	flag.Parse()
-
-	if *pprofAddr != "" {
-		//helios:goroutinelife-ok process-lifetime pprof listener; dies with the process
-		go func() {
-			if err := http.ListenAndServe(*pprofAddr, nil); err != nil {
-				fmt.Fprintf(os.Stderr, "pprof server: %v\n", err)
-			}
-		}()
-		fmt.Printf("pprof: http://%s/debug/pprof/\n", *pprofAddr)
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
 	}
+	obsOn := *pipeview != "" || *events != "" || *intervalCSV != ""
+	switch {
+	case obsOn && *compare:
+		fmt.Fprintln(stderr, "-pipeview/-events/-interval-metrics apply to a single run; drop -compare")
+		return 2
+	case *intervalCSV != "" && *interval == 0:
+		fmt.Fprintln(stderr, "-interval must be > 0 with -interval-metrics")
+		return 2
+	}
+
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
 		if err != nil {
-			fatal(err)
+			return fail(stderr, err)
 		}
+		defer closeOut(f, &code, stderr)
 		if err := pprof.StartCPUProfile(f); err != nil {
-			fatal(err)
+			return fail(stderr, err)
 		}
-		defer func() {
-			pprof.StopCPUProfile()
-			f.Close()
-		}()
+		defer pprof.StopCPUProfile()
 	}
 
 	ctx := context.Background()
@@ -93,109 +102,78 @@ func main() {
 
 	if *list {
 		for _, w := range workloads.All() {
-			fmt.Printf("%-14s %-10d %s\n", w.Name, w.MaxInsts, w.PaperRef)
+			fmt.Fprintf(stdout, "%-14s %-10d %s\n", w.Name, w.MaxInsts, w.PaperRef)
 		}
-		return
+		return 0
 	}
 
-	// Phase one: obtain the committed stream — load it from a trace file,
-	// or record it once from the emulator when it will be reused (compare
-	// mode or -trace-out).
+	// Phase one: obtain the committed stream. Load it from a trace file,
+	// or record it once from the emulator when -compare will reuse it.
 	var (
-		rec  *trace.Recording
-		name string
-		w    workloads.Workload
+		rec    *trace.Recording
+		budget uint64 // replay bound on rec; 0 drains it
+		name   string
+		w      workloads.Workload
 	)
 	if *traceIn != "" {
 		f, err := os.Open(*traceIn)
 		if err != nil {
-			fatal(err)
+			return fail(stderr, err)
 		}
 		rec, err = trace.ReadFrom(f)
 		f.Close()
 		if err != nil {
-			fatal(err)
+			return fail(stderr, err)
 		}
-		name = rec.Name
-		fmt.Printf("loaded trace: %s (%d µ-ops, budget %d)\n\n", rec.Name, rec.Len(), rec.MaxInsts)
+		name, budget = rec.Name, *insts
+		fmt.Fprintf(stdout, "loaded trace: %s (%d µ-ops, budget %d)\n\n", rec.Name, rec.Len(), rec.MaxInsts)
 	} else {
 		var ok bool
-		w, ok = workloads.ByName(*workload)
-		if !ok {
-			fmt.Fprintf(os.Stderr, "unknown workload %q; try -list\n", *workload)
-			os.Exit(1)
+		if w, ok = workloads.ByName(*workload); !ok {
+			return fail(stderr, fmt.Errorf("unknown workload %q; try -list", *workload))
 		}
 		name = w.Name
-		if *compare || *traceOut != "" {
+		if *compare {
 			var err error
-			rec, err = w.Record(*insts)
-			if err != nil {
-				fatal(err)
+			if rec, err = w.Record(*insts); err != nil {
+				return fail(stderr, err)
 			}
 		}
 	}
-
-	if *traceOut != "" {
-		f, err := os.Create(*traceOut)
-		if err != nil {
-			fatal(err)
-		}
-		n, err := rec.WriteTo(f)
-		if err == nil {
-			err = f.Close()
-		}
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Printf("wrote %s: %d µ-ops, %d bytes compressed\n\n", *traceOut, rec.Len(), n)
-	}
-
-	// Observability sinks (single-run mode only: one run, one trace).
-	obsOn := *pipeview != "" || *events != "" || *intervalCSV != ""
-	if obsOn && *compare {
-		fmt.Fprintln(os.Stderr, "-pipeview/-events/-interval-metrics apply to a single run; drop -compare")
-		os.Exit(1)
+	replay := func(cfg ooo.Config) (*core.Result, error) {
+		return core.RunSource(ctx, name, cfg, trace.Limit(rec.Replay(), budget), budget)
 	}
 
 	// Phase two: replay through the cycle-level model.
 	if *compare {
-		runCompare(ctx, name, rec, *parallel)
-		return
+		t, err := compareModes(name, replay)
+		if err != nil {
+			return fail(stderr, err)
+		}
+		fmt.Fprint(stdout, t)
+		return 0
 	}
 	m, ok := fusion.ModeByName(*mode)
 	if !ok {
-		fmt.Fprintf(os.Stderr, "unknown mode %q; want one of %s\n", *mode, modeNames())
-		os.Exit(1)
+		return fail(stderr, fmt.Errorf("unknown mode %q; want one of %s", *mode, modeNames()))
 	}
 	cfg := ooo.DefaultConfig(m)
-	var ob *obs.Observer
 	if obsOn {
-		var closers []func() error
-		ob = &obs.Observer{SampleEvery: *interval}
-		open := func(path string) *os.File {
-			f, err := os.Create(path)
+		ob := &obs.Observer{SampleEvery: *interval}
+		for _, out := range []struct {
+			path string
+			w    *io.Writer
+		}{{*pipeview, &ob.PipeView}, {*events, &ob.Events}, {*intervalCSV, &ob.Metrics}} {
+			if out.path == "" {
+				continue
+			}
+			f, err := os.Create(out.path)
 			if err != nil {
-				fatal(err)
+				return fail(stderr, err)
 			}
-			closers = append(closers, f.Close)
-			return f
+			defer closeOut(f, &code, stderr)
+			*out.w = f
 		}
-		if *pipeview != "" {
-			ob.PipeView = open(*pipeview)
-		}
-		if *events != "" {
-			ob.Events = open(*events)
-		}
-		if *intervalCSV != "" {
-			ob.Metrics = open(*intervalCSV)
-		}
-		defer func() {
-			for _, c := range closers {
-				if err := c(); err != nil {
-					fmt.Fprintf(os.Stderr, "closing trace output: %v\n", err)
-				}
-			}
-		}()
 		cfg.Obs = ob
 	}
 	var (
@@ -203,61 +181,47 @@ func main() {
 		err error
 	)
 	if rec != nil {
-		r, err = core.RunSource(ctx, name, cfg, rec.Replay(), 0)
+		r, err = replay(cfg)
 	} else {
 		r, err = core.RunConfig(ctx, w, cfg, *insts)
 	}
 	if err != nil {
-		fatal(err)
+		return fail(stderr, err)
 	}
-	if ob != nil {
-		if oerr := ob.Err(); oerr != nil {
-			fatal(fmt.Errorf("observer: %w", oerr))
+	if cfg.Obs != nil {
+		if err := cfg.Obs.Err(); err != nil {
+			return fail(stderr, fmt.Errorf("observer: %w", err))
 		}
 	}
 	if *manifest != "" {
-		m := report.NewManifest(r.Workload, r.Mode, cfg, r.Stats)
-		if err := m.WriteFile(*manifest); err != nil {
-			fatal(err)
+		if err := report.NewManifest(r.Workload, r.Mode, cfg, r.Stats).WriteFile(*manifest); err != nil {
+			return fail(stderr, err)
 		}
 	}
-	if *jsonOut {
-		printJSON(r)
-		return
-	}
-	printResult(r)
+	printResult(stdout, r)
+	return 0
 }
 
-// printJSON dumps the complete statistics surface: every Stats counter
-// (the reflection round-trip test in internal/ooo pins the field set)
-// plus the run identity and the binary's build provenance. The stats
-// are deterministic for a given trace and configuration, so two runs of
-// the same build can be diffed byte-for-byte.
-func printJSON(r *core.Result) {
-	out := struct {
-		Workload string           `json:"workload"`
-		Mode     string           `json:"mode"`
-		Build    report.BuildInfo `json:"build"`
-		Stats    ooo.Stats        `json:"stats"`
-	}{r.Workload, r.Mode.String(), report.Build(), r.Stats}
-	b, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		fatal(err)
-	}
-	fmt.Printf("%s\n", b)
-}
-
-// fatal prints the error and exits. If the failure is a structured
-// pipeline crash, the full JSON dump (cycle, queue occupancies, recent
-// commits, invariant verdict) follows the one-line summary so the state
-// at the point of death is preserved for post-mortem.
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, err)
+// fail prints err and returns exit status 1. If the failure is a
+// structured pipeline crash, the full JSON dump (cycle, queue
+// occupancies, recent commits, invariant verdict) follows the one-line
+// summary so the state at the point of death is preserved for
+// post-mortem.
+func fail(stderr io.Writer, err error) int {
+	fmt.Fprintln(stderr, err)
 	var se *ooo.SimError
 	if errors.As(err, &se) {
-		fmt.Fprintf(os.Stderr, "\ncrash dump:\n%s\n", se.JSON())
+		fmt.Fprintf(stderr, "\ncrash dump:\n%s\n", se.JSON())
 	}
-	os.Exit(1)
+	return 1
+}
+
+// closeOut closes an output file when run returns; a close error fails
+// a run that had otherwise succeeded.
+func closeOut(f *os.File, code *int, stderr io.Writer) {
+	if err := f.Close(); err != nil && *code == 0 {
+		*code = fail(stderr, err)
+	}
 }
 
 func modeNames() string {
@@ -268,42 +232,31 @@ func modeNames() string {
 	return strings.Join(names, ", ")
 }
 
-// runCompare replays the one recording through every fusion
-// configuration, fanning the replays across a bounded worker pool
-// (replay cursors are independent, so the runs cannot interfere). The
-// results are collected by mode index and the table is built serially
-// in fusion.Modes order afterwards — including the NoFusion IPC
-// baseline — so the output is byte-identical to a serial run.
-func runCompare(ctx context.Context, name string, rec *trace.Recording, workers int) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(fusion.Modes) {
-		workers = len(fusion.Modes)
-	}
+// compareModes replays the one recording through every fusion
+// configuration on min(GOMAXPROCS, 6) workers (replay cursors are
+// independent, so the runs cannot interfere). Every mode is replayed,
+// so each slot holds a result or an error; a cancelled run fails at its
+// first cycle. The table is built serially in fusion.Modes order
+// afterwards, including the NoFusion IPC baseline, so the output does
+// not depend on the worker count.
+func compareModes(name string, replay func(ooo.Config) (*core.Result, error)) (*stats.Table, error) {
 	results := make([]*core.Result, len(fusion.Modes))
 	errs := make([]error, len(fusion.Modes))
 	var cursor atomic.Int64
-	cursor.Store(-1)
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for range min(runtime.GOMAXPROCS(0), len(fusion.Modes)) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for {
-				i := int(cursor.Add(1))
-				if i >= len(fusion.Modes) || ctx.Err() != nil {
-					return
-				}
-				m := fusion.Modes[i]
-				results[i], errs[i] = core.RunSource(ctx, name, ooo.DefaultConfig(m), rec.Replay(), 0)
+			for i := int(cursor.Add(1)) - 1; i < len(fusion.Modes); i = int(cursor.Add(1)) - 1 {
+				results[i], errs[i] = replay(ooo.DefaultConfig(fusion.Modes[i]))
 			}
 		}()
 	}
 	wg.Wait()
 	for _, err := range errs {
 		if err != nil {
-			fatal(err)
+			return nil, err
 		}
 	}
 	var base float64
@@ -320,35 +273,35 @@ func runCompare(ctx context.Context, name string, rec *trace.Recording, workers 
 			fmt.Sprint(s.CSFPairs()), fmt.Sprint(s.NCSFPairs()),
 			fmt.Sprint(s.FusedIdiom+s.FusedMemIdiom), fmt.Sprint(s.FusionMispredicts))
 	}
-	fmt.Print(t)
+	return t, nil
 }
 
-func printResult(r *core.Result) {
+func printResult(out io.Writer, r *core.Result) {
 	s := r.Stats
-	fmt.Printf("workload:   %s\nconfig:     %v\n\n", r.Workload, r.Mode)
-	fmt.Printf("cycles:             %d\n", s.Cycles)
-	fmt.Printf("instructions:       %d (%d µ-ops, %d memory)\n",
+	fmt.Fprintf(out, "workload:   %s\nconfig:     %v\n\n", r.Workload, r.Mode)
+	fmt.Fprintf(out, "cycles:             %d\n", s.Cycles)
+	fmt.Fprintf(out, "instructions:       %d (%d µ-ops, %d memory)\n",
 		s.CommittedInsts, s.CommittedUops, s.CommittedMem)
-	fmt.Printf("IPC:                %.3f\n\n", s.IPC())
+	fmt.Fprintf(out, "IPC:                %.3f\n\n", s.IPC())
 
-	fmt.Printf("fused idioms:       %d non-memory, %d memory-carrying\n", s.FusedIdiom, s.FusedMemIdiom)
-	fmt.Printf("fused pairs:        %d CSF (%d ld / %d st), %d NCSF (%d ld / %d st)\n",
+	fmt.Fprintf(out, "fused idioms:       %d non-memory, %d memory-carrying\n", s.FusedIdiom, s.FusedMemIdiom)
+	fmt.Fprintf(out, "fused pairs:        %d CSF (%d ld / %d st), %d NCSF (%d ld / %d st)\n",
 		s.CSFPairs(), s.CSFLoadPairs, s.CSFStorePairs,
 		s.NCSFPairs(), s.NCSFLoadPairs, s.NCSFStorePairs)
-	fmt.Printf("pair attributes:    %d DBR, %d asymmetric, mean NCSF distance %.1f\n",
+	fmt.Fprintf(out, "pair attributes:    %d DBR, %d asymmetric, mean NCSF distance %.1f\n",
 		s.DBRPairs, s.AsymmetricPairs, s.MeanNCSFDistance())
-	fmt.Printf("unfused at rename:  %d (window/serial/store/dbr/deadlock = %v)\n\n",
+	fmt.Fprintf(out, "unfused at rename:  %d (window/serial/store/dbr/deadlock = %v)\n\n",
 		s.UnfusedAtRename, s.UnfuseReasons)
 
-	fmt.Printf("fusion predictor:   %d predictions, %d mispredicts (accuracy %.2f%%, coverage %.2f%%, MPKI %.4f)\n",
+	fmt.Fprintf(out, "fusion predictor:   %d predictions, %d mispredicts (accuracy %.2f%%, coverage %.2f%%, MPKI %.4f)\n",
 		s.FusionPredictions, s.FusionMispredicts, 100*s.Accuracy(), 100*s.Coverage(), s.FusionMPKI())
-	fmt.Printf("branches:           %d (%d mispredicted, MPKI %.2f)\n",
+	fmt.Fprintf(out, "branches:           %d (%d mispredicted, MPKI %.2f)\n",
 		s.Branches, s.BranchMispredicts, s.BranchMPKI())
-	fmt.Printf("memory:             %d forwards, %d violations, %d flushes\n\n",
+	fmt.Fprintf(out, "memory:             %d forwards, %d violations, %d flushes\n\n",
 		s.STLForwards, s.StoreSetViolations, s.Flushes)
 
 	cyc := float64(s.Cycles)
-	fmt.Printf("structural stalls:  regs %.1f%%, rob %.1f%%, iq %.1f%%, lq %.1f%%, sq %.1f%%, aq %.1f%%\n",
+	fmt.Fprintf(out, "structural stalls:  regs %.1f%%, rob %.1f%%, iq %.1f%%, lq %.1f%%, sq %.1f%%, aq %.1f%%\n",
 		100*float64(s.StallFreeList)/cyc, 100*float64(s.StallROB)/cyc,
 		100*float64(s.StallIQ)/cyc, 100*float64(s.StallLQ)/cyc,
 		100*float64(s.StallSQ)/cyc, 100*float64(s.StallAQ)/cyc)
@@ -356,7 +309,7 @@ func printResult(r *core.Result) {
 	if budget := s.TopDown.SlotBudget(); budget > 0 {
 		td := &s.TopDown
 		p := func(v uint64) float64 { return 100 * float64(v) / float64(budget) }
-		fmt.Printf("top-down slots:     retiring %.1f%% (+%.1f%% fused), fe-lat %.1f%%, fe-bw %.1f%%, bad-spec %.1f%%, be-core %.1f%%, be-mem %.1f%%\n",
+		fmt.Fprintf(out, "top-down slots:     retiring %.1f%% (+%.1f%% fused), fe-lat %.1f%%, fe-bw %.1f%%, bad-spec %.1f%%, be-core %.1f%%, be-mem %.1f%%\n",
 			p(td.Retiring), p(td.FusedRetiring), p(td.FrontendLatency),
 			p(td.FrontendBandwidth), p(td.BadSpeculation), p(td.BackendCore),
 			p(td.BackendMemory()))

@@ -439,23 +439,16 @@ func (s *Suite) replay(ctx context.Context, name string, cfg ooo.Config, rec *tr
 	return r, err
 }
 
-// ObserveReplay replays the workload's shared recording under the given
-// mode with the observability layer attached. The run is never cached
-// (an observed Result is a side-effecting run, and the observer's
-// writers are caller-owned), but it reuses the suite's record-once
-// trace, so observing costs one replay, not a re-emulation. Replay
-// determinism guarantees the observed run retires the same stream as
-// the cached Get result for the same key.
-func (s *Suite) ObserveReplay(ctx context.Context, name string, mode fusion.Mode, ob *obs.Observer) (*Result, error) {
-	return s.ObserveReplayConfig(ctx, name, ooo.DefaultConfig(mode), 0, ob)
-}
-
-// ObserveReplayConfig is ObserveReplay with an explicit pipeline config
-// and instruction budget (0 = the suite's budget) — the form heliosd's
-// `/v1/run` obs artifacts route through, so a request carrying a custom
-// config still gets its pipeview/events/interval streams from the same
-// record-once trace as the cached result for that key. cfg.Obs is
-// overwritten with ob; everything else is the caller's.
+// ObserveReplayConfig replays the workload's shared recording under cfg
+// and instruction budget (0 = the suite's budget) with the
+// observability layer attached. The run is never cached (an observed
+// Result is a side-effecting run, and the observer's writers are
+// caller-owned), but it reuses the suite's record-once trace, so
+// observing costs one replay, not a re-emulation. Replay determinism
+// guarantees the observed run retires the same stream as the cached
+// result for the same key: heliosd's `/v1/run` obs artifacts route
+// through here. cfg.Obs is overwritten with ob; everything else is the
+// caller's.
 func (s *Suite) ObserveReplayConfig(ctx context.Context, name string, cfg ooo.Config, budget uint64, ob *obs.Observer) (*Result, error) {
 	w, ok := workloads.ByName(name)
 	if !ok {
@@ -568,12 +561,4 @@ func (s *Suite) repairRecording(ctx context.Context, w workloads.Workload, budge
 	s.metrics.EmuTime += time.Since(start)
 	s.mu.Unlock()
 	return rec, err
-}
-
-// Prefetch runs every workload under each mode in parallel, filling the
-// cache with GOMAXPROCS workers. Errors surface on the corresponding
-// Get; Prefetch stops issuing work once ctx fails. It is PrefetchN with
-// the default worker bound.
-func (s *Suite) Prefetch(ctx context.Context, names []string, modes []fusion.Mode) {
-	s.PrefetchN(ctx, names, modes, 0)
 }

@@ -57,7 +57,7 @@ func TestPrefetchFillsCache(t *testing.T) {
 	s := NewSuite(10_000)
 	names := []string{"crc32", "sha"}
 	modes := []fusion.Mode{fusion.ModeNoFusion, fusion.ModeHelios}
-	s.Prefetch(context.Background(), names, modes)
+	s.PrefetchN(context.Background(), names, modes, 0)
 	var hits int64
 	for _, n := range names {
 		for _, m := range modes {

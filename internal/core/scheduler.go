@@ -71,7 +71,7 @@ func (s *Suite) RunCells(ctx context.Context, cells []Cell, workers int) []CellR
 	// WithLane returns ctx unchanged and every span call is a
 	// zero-allocation no-op, preserving the scheduler's hot-path budget.
 	// Span wall times live outside the deterministic Metrics surface
-	// (DESIGN.md §16's quarantine rule).
+	// (DESIGN.md §15's quarantine rule).
 	var cursor atomic.Int64
 	cursor.Store(-1)
 	var wg sync.WaitGroup

@@ -14,7 +14,6 @@ import (
 	"helios/internal/core"
 	"helios/internal/fusion"
 	"helios/internal/helios"
-	"helios/internal/obs"
 	"helios/internal/ooo"
 	"helios/internal/stats"
 	"helios/internal/uop"
@@ -40,14 +39,6 @@ func New(maxInsts uint64) *Harness {
 		Suite:     core.NewSuite(maxInsts),
 		Workloads: workloads.Names(),
 	}
-}
-
-// Observe replays one workload under the given mode with the
-// observability layer attached, reusing the suite's shared recording.
-// The cmd/experiments -obs mode fans this over every workload to
-// produce per-workload pipeline traces and interval series.
-func (h *Harness) Observe(ctx context.Context, name string, mode fusion.Mode, ob *obs.Observer) (*core.Result, error) {
-	return h.Suite.ObserveReplay(ctx, name, mode, ob)
 }
 
 // IDs lists the experiment identifiers accepted by Run, in paper order.

@@ -10,7 +10,7 @@ import (
 )
 
 // This file is the cross-package layer under the domain analyzers
-// (DESIGN.md §15): a Module groups every package of one Load into a
+// (DESIGN.md §10): a Module groups every package of one Load into a
 // single analysis universe, and its CallGraph resolves static calls
 // across package boundaries so reachability-based rules (hotalloc's
 // "nothing reachable from a hot root allocates", lockguard's lock-order

@@ -12,8 +12,8 @@
 // lockguard.go, goroutinelife.go, errtaxonomy.go) built on the
 // cross-package Module/CallGraph layer in callgraph.go. Registry
 // returns them all, and cmd/heliosvet is the multichecker driver. See
-// DESIGN.md §10 and §15 for the catalog and the conventions each
-// analyzer enforces.
+// DESIGN.md §10 for the catalog and the conventions each analyzer
+// enforces.
 package lint
 
 import (

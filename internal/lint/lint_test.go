@@ -43,7 +43,7 @@ func TestErrPolicy(t *testing.T) {
 	linttest.Run(t, lint.ErrPolicy, "testdata/errpolicy")
 }
 
-// The call-graph four (DESIGN.md §15). Each testdata package is a
+// The call-graph four (DESIGN.md §10). Each testdata package is a
 // closed single-package universe: linttest wraps it in a one-package
 // Module, so reachability, waivers and guard-set inference all resolve
 // without loading the real repo.

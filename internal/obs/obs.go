@@ -58,6 +58,11 @@ type Event struct {
 	Unfused      bool   `json:"unfused,omitempty"`   // fusion was undone before retire
 }
 
+// DefaultInterval is the interval sampler period, in cycles, that the
+// drivers use when a caller asks for interval metrics without naming
+// one: heliossim's -interval default and heliosd's obs_interval: 0.
+const DefaultInterval = 10000
+
 // Observer is a per-run observability sink. Attach one via
 // ooo.Config.Obs; any nil writer disables that output. Observer is not
 // safe for concurrent use — one pipeline, one observer, as with the

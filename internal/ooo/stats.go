@@ -163,10 +163,10 @@ func (s *Stats) StallCycles() uint64 {
 }
 
 // Rows enumerates every counter as (name, value) pairs in declaration
-// order — the canonical dump surface behind `heliossim -json` and the
-// detailed printout. The statscomplete analyzer checks this enumeration
-// against the struct, so a counter added to Stats without a row here
-// fails lint instead of going silently unreported.
+// order; the JSON form of the same counters is a manifest's Stats
+// (`heliossim -manifest`). The statscomplete analyzer checks this
+// enumeration against the struct, so a counter added to Stats without a
+// row here fails lint instead of going silently unreported.
 func (s *Stats) Rows() [][2]string {
 	u := func(v uint64) string { return fmt.Sprint(v) }
 	rows := [][2]string{

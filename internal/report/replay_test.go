@@ -61,46 +61,3 @@ func TestReportReplayByteIdentical(t *testing.T) {
 		t.Fatalf("empty report output")
 	}
 }
-
-// TestWriteManifestsEndToEnd drives the experiments-side emission into
-// two directories and diffs them through the public loader — the same
-// path `make report-smoke` exercises.
-func TestWriteManifestsEndToEnd(t *testing.T) {
-	ctx := context.Background()
-	h := experiments.New(2000)
-	h.Workloads = []string{"crc32"}
-	baseDir, targetDir := t.TempDir(), t.TempDir()
-	if err := h.WriteManifests(ctx, baseDir, fusion.ModeNoFusion); err != nil {
-		t.Fatalf("baseline manifests: %v", err)
-	}
-	if err := h.WriteManifests(ctx, targetDir, fusion.ModeHelios); err != nil {
-		t.Fatalf("target manifests: %v", err)
-	}
-	base, err := report.LoadDir(baseDir)
-	if err != nil {
-		t.Fatalf("load baseline: %v", err)
-	}
-	target, err := report.LoadDir(targetDir)
-	if err != nil {
-		t.Fatalf("load target: %v", err)
-	}
-	d := report.NewDiff("baseline", base, "helios", target)
-	if len(d.Pairs) != 1 || d.Pairs[0].Workload != "crc32" {
-		t.Fatalf("pairs = %+v, want [crc32]", d.Pairs)
-	}
-	md, err := d.Markdown()
-	if err != nil {
-		t.Fatalf("markdown: %v", err)
-	}
-	if md == "" {
-		t.Fatal("empty markdown")
-	}
-	// The loaded manifests carry real conserved top-down accounts.
-	for _, p := range d.Pairs {
-		for side, m := range map[string]*report.Manifest{"base": p.Base, "target": p.Target} {
-			if err := m.Stats.TopDown.CheckConservation(); err != nil {
-				t.Errorf("%s: %v", side, err)
-			}
-		}
-	}
-}

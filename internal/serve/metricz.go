@@ -58,7 +58,7 @@ func (s *Server) snapshotMetrics() metricsSnapshot {
 // families is the /metricz table: every metric heliosd exports,
 // declared once, in exposition order. Both forms render from it, and
 // the tracing families exist only with telemetry on. The naming
-// convention is DESIGN.md §16's.
+// convention is DESIGN.md §15's.
 func (m *metricsSnapshot) families() []telemetry.Family {
 	c, sm := m.c, m.suite
 	fams := []telemetry.Family{

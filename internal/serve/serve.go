@@ -53,7 +53,7 @@ type Config struct {
 	// there warms the result cache.
 	ManifestDir string
 	// Telemetry enables per-request span tracing and tail sampling
-	// (DESIGN.md §16). Off, the tracer is a nil pointer and every hook on
+	// (DESIGN.md §15). Off, the tracer is a nil pointer and every hook on
 	// the request path is a zero-allocation no-op
 	// (TestServeTelemetryOffNoAllocs).
 	Telemetry bool
@@ -564,11 +564,6 @@ func boolStr(v bool) string {
 	return "false"
 }
 
-// obsDefaultInterval is the interval sampler period (in simulated
-// cycles) when an obs:"interval" request does not specify one — the same
-// default as heliossim -interval's documentation examples.
-const obsDefaultInterval = 10000
-
 // runObs serves a /v1/run request carrying an obs field: the result is
 // recomputed as one observed replay off the suite's record-once trace
 // (never through the result cache — an observed run is side-effecting)
@@ -623,7 +618,7 @@ func buildObserver(req *RunRequest) (*obs.Observer, *bytes.Buffer, string, *Erro
 	case "interval":
 		interval := req.ObsInterval
 		if interval == 0 {
-			interval = obsDefaultInterval
+			interval = obs.DefaultInterval
 		}
 		return &obs.Observer{Metrics: buf, SampleEvery: interval}, buf, "intervals.csv", nil
 	default:
