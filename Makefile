@@ -17,7 +17,7 @@ lint:
 		echo "gofmt -l lists files that need formatting:"; echo "$$unformatted"; exit 1; \
 	fi
 	$(GO) vet ./...
-	$(GO) run ./cmd/heliosvet ./...
+	$(GO) run ./cmd/heliosvet
 	@if command -v staticcheck >/dev/null 2>&1; then \
 		staticcheck ./...; \
 	else \

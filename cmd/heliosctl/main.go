@@ -141,7 +141,6 @@ func retryAfterHint(resp *http.Response, e *serve.Error) time.Duration {
 // failures return immediately; retryable ones (see once) retry with
 // backoff.
 func (c *client) do(method, path string, body []byte) (int, []byte) {
-	//helios:nondeterminism-ok client-side retry jitter, not simulation state
 	rng := rand.New(rand.NewPCG(uint64(os.Getpid()), uint64(time.Now().UnixNano())))
 	var lastErr error
 	for attempt := 0; ; attempt++ {
@@ -438,7 +437,6 @@ func (c *client) triage(w io.Writer, q url.Values, every time.Duration, polls in
 // triageLine renders one flight-recorder entry for humans; fields a
 // request never touched print as "-".
 func triageLine(e serve.RequestSummary) string {
-	//helios:nondeterminism-ok rendering a server-supplied wall timestamp
 	ts := time.UnixMicro(e.TimeUnixUS).UTC().Format("15:04:05.000")
 	target := e.Workload
 	if target != "" && e.Mode != "" {
@@ -524,7 +522,6 @@ func cmdHealth(c *client, args []string) {
 		emit(c.get("/healthz"))
 		return
 	}
-	//helios:nondeterminism-ok startup-poll deadline, not simulation state
 	deadline := time.Now().Add(*wait)
 	for {
 		status, body, _, _, err := c.once("GET", "/healthz", nil)

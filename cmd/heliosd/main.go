@@ -97,7 +97,6 @@ func main() {
 }
 
 func logf(format string, args ...any) {
-	//helios:nondeterminism-ok operational log timestamps, not simulation state
 	fmt.Fprintf(os.Stderr, time.Now().UTC().Format("2006-01-02T15:04:05.000Z")+" "+format+"\n", args...)
 }
 

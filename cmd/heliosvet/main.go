@@ -1,84 +1,84 @@
 // Command heliosvet is the repository's domain-specific static-analysis
-// driver: a multichecker over the internal/lint analyzer suite, which
-// enforces the simulator's determinism, stats-completeness and config
-// hygiene conventions at lint time (see DESIGN.md §10 for the catalog).
+// driver. It runs the internal/lint analyzers over every package of the
+// module, enforcing the simulator's determinism, context, machine-
+// parameter, hot-path and concurrency conventions where no test can
+// (see DESIGN.md §10 for the catalog).
 //
 // Usage:
 //
-//	heliosvet ./...              # analyze the whole module
-//	heliosvet -list              # print the analyzer catalog
-//	heliosvet -github ./...      # also emit GitHub ::error annotations
-//	heliosvet -json ./...        # machine-readable schema-versioned JSON
+//	heliosvet          # analyze the whole module, from any directory in it
+//	heliosvet -list    # print the analyzer catalog
 //
-// Exit status is 1 when any finding is reported, so CI can gate on it.
-// Under GitHub Actions (GITHUB_ACTIONS=true) annotations are emitted
-// automatically, making each violation visible inline in the PR diff.
+// Exit status is 1 when any finding is reported, so CI can gate on it,
+// and 2 on a flag error or a package argument. Under GitHub Actions
+// (GITHUB_ACTIONS=true) each finding is also printed as an ::error
+// annotation, making it visible inline in the PR diff.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 
 	"helios/internal/lint"
 )
 
-func main() {
-	var (
-		github   = flag.Bool("github", false, "emit GitHub Actions ::error annotations (implied by GITHUB_ACTIONS=true)")
-		jsonMode = flag.Bool("json", false, "write findings as a schema-versioned JSON document instead of text")
-		list     = flag.Bool("list", false, "print the analyzer catalog and exit")
-	)
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is the whole driver; it returns the exit status.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("heliosvet", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	list := fs.Bool("list", false, "print the analyzer catalog and exit")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	if fs.NArg() > 0 {
+		fmt.Fprintf(stderr, "heliosvet: unexpected arguments %q: it always analyzes the whole module\n", fs.Args())
+		return 2
+	}
 
 	analyzers := lint.Registry()
 	if *list {
 		for _, a := range analyzers {
-			fmt.Printf("%-16s %s\n", a.Name, a.Doc)
+			fmt.Fprintf(stdout, "%-16s %s\n", a.Name, a.Doc)
 		}
-		return
+		return 0
 	}
 
-	patterns := flag.Args()
-	if len(patterns) == 0 {
-		patterns = []string{"./..."}
-	}
 	wd, err := os.Getwd()
 	if err != nil {
-		fatal(err)
+		return fail(stderr, err)
 	}
-	pkgs, err := lint.Load(wd, patterns...)
+	pkgs, err := lint.Load(wd)
 	if err != nil {
-		fatal(err)
+		return fail(stderr, err)
 	}
 	diags, err := lint.RunAll(analyzers, pkgs)
 	if err != nil {
-		fatal(err)
+		return fail(stderr, err)
 	}
-	if *jsonMode {
-		if err := lint.WriteJSON(os.Stdout, diags, func(p string) string { return relTo(wd, p) }); err != nil {
-			fatal(err)
-		}
-		if len(diags) > 0 {
-			os.Exit(1)
-		}
-		return
-	}
-	annotate := *github || os.Getenv("GITHUB_ACTIONS") == "true"
+	annotate := os.Getenv("GITHUB_ACTIONS") == "true"
 	for _, d := range diags {
 		rel := relTo(wd, d.Pos.Filename)
-		fmt.Printf("%s:%d:%d: %s: %s\n", rel, d.Pos.Line, d.Pos.Column, d.Analyzer, d.Message)
+		fmt.Fprintf(stdout, "%s:%d:%d: %s: %s\n", rel, d.Pos.Line, d.Pos.Column, d.Analyzer, d.Message)
 		if annotate {
 			// GitHub annotation values must stay on one line.
-			fmt.Printf("::error file=%s,line=%d,col=%d,title=heliosvet %s::%s\n",
+			fmt.Fprintf(stdout, "::error file=%s,line=%d,col=%d,title=heliosvet %s::%s\n",
 				rel, d.Pos.Line, d.Pos.Column, d.Analyzer, d.Message)
 		}
 	}
 	if len(diags) > 0 {
-		fmt.Fprintf(os.Stderr, "heliosvet: %d finding(s)\n", len(diags))
-		os.Exit(1)
+		fmt.Fprintf(stderr, "heliosvet: %d finding(s)\n", len(diags))
+		return 1
 	}
+	return 0
 }
 
 // relTo shortens absolute diagnostic paths for readable output and
@@ -90,7 +90,7 @@ func relTo(wd, path string) string {
 	return path
 }
 
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "heliosvet:", err)
-	os.Exit(1)
+func fail(stderr io.Writer, err error) int {
+	fmt.Fprintln(stderr, "heliosvet:", err)
+	return 1
 }

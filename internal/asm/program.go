@@ -38,9 +38,6 @@ func (p *Program) Symbol(name string) (uint64, bool) {
 	return v, ok
 }
 
-// TextEnd returns the first address past the text section.
-func (p *Program) TextEnd() uint64 { return p.TextBase + uint64(4*len(p.Text)) }
-
 // Disassemble renders the full text section with addresses, for debugging.
 func (p *Program) Disassemble() string {
 	out := ""

@@ -98,7 +98,6 @@ func TestObserverWriteFaultSurfacesAsRunError(t *testing.T) {
 	suite := core.NewSuite(2000)
 	fw := &FaultyWriter{Limit: 64} // the header alone exceeds this
 	ob := &obs.Observer{Metrics: fw, SampleEvery: 16}
-	//helios:ctx-ok test drives the public replay path directly
 	_, err := suite.ObserveReplayConfig(context.Background(), "crc32", ooo.DefaultConfig(fusion.ModeHelios), 0, ob)
 	if err == nil {
 		t.Fatal("observed replay with a failing metrics sink returned no error")

@@ -2,10 +2,12 @@ package core
 
 import (
 	"context"
-
+	"reflect"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"helios/internal/fusion"
 	"helios/internal/workloads"
@@ -145,5 +147,50 @@ func TestDeterministicResults(t *testing.T) {
 	}
 	if a.Stats != b.Stats {
 		t.Errorf("non-deterministic simulation:\n%+v\n%+v", a.Stats, b.Stats)
+	}
+}
+
+// TestMetricsRowsCarryEveryField fills every Metrics field with a
+// distinct value. Each counter must appear in Rows, and each duration
+// and cell wall in WallRows, so a field added without a row fails here.
+func TestMetricsRowsCarryEveryField(t *testing.T) {
+	var m Metrics
+	v := reflect.ValueOf(&m).Elem()
+	counters, walls := map[string]string{}, map[string]string{} // value → field
+	for i := 0; i < v.NumField(); i++ {
+		f, name := v.Field(i), v.Type().Field(i).Name
+		d := time.Duration(1001+i) * time.Millisecond
+		switch f.Interface().(type) {
+		case uint64:
+			f.SetUint(uint64(1001 + i))
+			counters[strconv.Itoa(1001+i)] = name
+		case time.Duration:
+			f.SetInt(int64(d))
+			walls[d.String()] = name
+		case []CellWall:
+			// Two cells, so neither wall can hide behind their sum.
+			d2 := d + 100*time.Millisecond
+			m.CellWalls = []CellWall{
+				{Workload: "crc32", Mode: fusion.ModeHelios, Wall: d},
+				{Workload: "sha", Mode: fusion.ModeNoFusion, Wall: d2},
+			}
+			walls[d.String()], walls[d2.String()] = name+"[0]", name+"[1]"
+		default:
+			t.Fatalf("Metrics.%s has unhandled type %s: extend this test and the rows", name, f.Type())
+		}
+	}
+	for _, c := range []struct {
+		rows [][2]string
+		want map[string]string
+	}{{m.Rows(), counters}, {m.WallRows(), walls}} {
+		got := map[string]bool{}
+		for _, r := range c.rows {
+			got[r[1]] = true
+		}
+		for value, field := range c.want {
+			if !got[value] {
+				t.Errorf("Metrics.%s = %s is missing from its rows %v", field, value, c.rows)
+			}
+		}
 	}
 }

@@ -100,6 +100,26 @@ func TestGetExpiredDeadline(t *testing.T) {
 	}
 }
 
+// TestReplayHonoursContext: every heliosd /v1/run miss and every
+// /v1/suite cell replays a cached recording. A cancelled request must
+// stop that replay with its context's error, and the error must not be
+// cached: a live retry succeeds.
+func TestReplayHonoursContext(t *testing.T) {
+	s := NewSuite(10_000)
+	if _, err := s.Recording(context.Background(), "crc32"); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	cfg := ooo.DefaultConfig(fusion.ModeHelios)
+	if _, err := s.ReplayConfig(ctx, "crc32", cfg, 0); !errors.Is(err, context.Canceled) {
+		t.Fatalf("replay under a cancelled context: err = %v, want context.Canceled", err)
+	}
+	if r, err := s.ReplayConfig(context.Background(), "crc32", cfg, 0); err != nil || r == nil {
+		t.Fatalf("cancellation was cached: retry got (%v, %v)", r, err)
+	}
+}
+
 // TestRunSourceCancelledMidRun runs the pipeline over an endless synthetic
 // stream and cancels while it is running: the cycle loop must notice and
 // return an error unwrapping to context.Canceled.

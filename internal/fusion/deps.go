@@ -73,24 +73,3 @@ func CatalystHasSerializing(records []emu.Retired) bool {
 	}
 	return false
 }
-
-// CatalystHasRegHazard reports whether the catalyst writes a register the
-// tail reads (RaW) or reads a register the tail writes (WaR). Helios
-// repairs these at Rename; prior proposals simply refuse to fuse them.
-func CatalystHasRegHazard(records []emu.Retired) bool {
-	if len(records) < 3 {
-		return false
-	}
-	tail := records[len(records)-1].Inst
-	tailDst, tailWrites := uop.Dest(tail)
-	for _, r := range records[1 : len(records)-1] {
-		in := r.Inst
-		if d, ok := uop.Dest(in); ok && tail.ReadsReg(d) {
-			return true // RaW: catalyst writes a tail source
-		}
-		if tailWrites && in.ReadsReg(tailDst) {
-			return true // WaR: catalyst reads the tail's destination
-		}
-	}
-	return false
-}

@@ -50,10 +50,6 @@ func (i Idiom) String() string {
 	return "none"
 }
 
-// IsMemoryPair reports whether the idiom is a memory pairing idiom
-// (bold rows of Table I).
-func (i Idiom) IsMemoryPair() bool { return i == IdiomLoadPair || i == IdiomStorePair }
-
 // Kind maps the idiom to the µ-op fusion kind.
 func (i Idiom) Kind() uop.FuseKind {
 	switch i {

@@ -68,9 +68,6 @@ func (r Reg) String() string {
 	return fmt.Sprintf("x%d?", uint8(r))
 }
 
-// XName returns the numeric name of the register (e.g. "x10").
-func (r Reg) XName() string { return fmt.Sprintf("x%d", uint8(r)) }
-
 // RegByName resolves a register name, accepting both numeric ("x10") and
 // ABI ("a0", "fp") forms. The second result reports whether the name was
 // recognised.

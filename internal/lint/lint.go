@@ -7,13 +7,13 @@
 // annotation escape hatches (//helios:nondeterminism-ok and friends).
 //
 // The analyzers themselves live in sibling files: the single-package
-// six (simdeterminism.go, seededrand.go, statscomplete.go, ctxfirst.go,
-// magiclatency.go, errpolicy.go) and the call-graph four (hotalloc.go,
-// lockguard.go, goroutinelife.go, errtaxonomy.go) built on the
-// cross-package Module/CallGraph layer in callgraph.go. Registry
-// returns them all, and cmd/heliosvet is the multichecker driver. See
-// DESIGN.md §10 for the catalog and the conventions each analyzer
-// enforces.
+// three (simdeterminism.go, ctxfirst.go, magiclatency.go) and the
+// call-graph four (hotalloc.go, lockguard.go, goroutinelife.go,
+// errtaxonomy.go) built on the cross-package Module/CallGraph layer in
+// callgraph.go. Each guards a convention that no test catches. Load
+// type-checks the whole module in one universe, Registry returns the
+// analyzers, and cmd/heliosvet is the driver. See DESIGN.md §10 for the
+// catalog and the conventions each analyzer enforces.
 package lint
 
 import (
@@ -161,16 +161,6 @@ func enclosingFuncDecl(file *ast.File, pos token.Pos) *ast.FuncDecl {
 // author's concern, and literal seeds in tests are deliberate).
 func (p *Pass) isTestFile(pos token.Pos) bool {
 	return strings.HasSuffix(p.Fset.Position(pos).Filename, "_test.go")
-}
-
-// fileOf returns the *ast.File containing pos.
-func (p *Pass) fileOf(pos token.Pos) *ast.File {
-	for _, f := range p.Files {
-		if f.Pos() <= pos && pos <= f.End() {
-			return f
-		}
-	}
-	return nil
 }
 
 // funcFromPkg resolves a called expression to a package-level function

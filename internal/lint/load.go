@@ -9,9 +9,11 @@ import (
 	"go/parser"
 	"go/token"
 	"go/types"
+	"os"
 	"os/exec"
 	"path/filepath"
 	"sort"
+	"strings"
 )
 
 // Package is one loaded, type-checked package ready for analysis.
@@ -28,34 +30,42 @@ type Package struct {
 // listedPackage is the subset of `go list -json` output the loader needs.
 type listedPackage struct {
 	ImportPath string
-	Name       string
 	Dir        string
 	GoFiles    []string
 	Imports    []string
 	Module     *struct{ Path string }
 }
 
-// Load enumerates the packages matching the patterns (relative to dir,
-// e.g. "./...") with the go command and type-checks them from source.
-// Only non-test Go files are analyzed — every analyzer in the suite
-// exempts tests anyway — and in-module imports are resolved against the
-// freshly checked packages so the whole module is loaded exactly once.
-// Standard-library imports are type-checked from GOROOT source, which
-// keeps the loader free of external dependencies and network access.
-func Load(dir string, patterns ...string) ([]*Package, error) {
-	listed, err := goList(dir, patterns)
+// Load type-checks every package of the module that contains dir, in
+// one universe. It finds the module root (the nearest go.mod at or
+// above dir), lists ./... there with the go command, and checks each
+// listed package from source exactly once, so every import path has one
+// *types.Package. Only non-test Go files are analyzed — every analyzer
+// in the suite exempts tests anyway. An in-module import that the
+// listing lacks is an error, never a second copy of the package; the
+// standard library is type-checked from GOROOT source, which keeps the
+// loader free of external dependencies and network access.
+func Load(dir string) ([]*Package, error) {
+	root, err := moduleRoot(dir)
+	if err != nil {
+		return nil, err
+	}
+	listed, err := goList(root)
 	if err != nil {
 		return nil, err
 	}
 	fset := token.NewFileSet()
 	ld := &loader{
-		fset:     fset,
-		byPath:   make(map[string]*listedPackage, len(listed)),
-		checked:  make(map[string]*Package),
-		fallback: importer.ForCompiler(fset, "source", nil).(types.ImporterFrom),
+		fset:    fset,
+		byPath:  make(map[string]*listedPackage, len(listed)),
+		checked: make(map[string]*Package),
+		std:     importer.ForCompiler(fset, "source", nil).(types.ImporterFrom),
 	}
 	for _, lp := range listed {
 		ld.byPath[lp.ImportPath] = lp
+		if lp.Module != nil {
+			ld.module = lp.Module.Path
+		}
 	}
 	// Deterministic order: dependency-first so the in-module importer
 	// always finds its imports already checked, ties broken by path.
@@ -74,15 +84,32 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 	return pkgs, nil
 }
 
-// goList shells out to `go list -json` and decodes the package stream.
-func goList(dir string, patterns []string) ([]*listedPackage, error) {
-	args := append([]string{"list", "-json"}, patterns...)
-	cmd := exec.Command("go", args...)
-	cmd.Dir = dir
+// moduleRoot returns the nearest directory at or above dir that holds a
+// go.mod.
+func moduleRoot(dir string) (string, error) {
+	abs, err := filepath.Abs(dir)
+	if err != nil {
+		return "", fmt.Errorf("lint: %w", err)
+	}
+	for d := abs; ; d = filepath.Dir(d) {
+		if _, err := os.Stat(filepath.Join(d, "go.mod")); err == nil {
+			return d, nil
+		}
+		if d == filepath.Dir(d) {
+			return "", fmt.Errorf("lint: no go.mod at or above %s", abs)
+		}
+	}
+}
+
+// goList shells out to `go list -json ./...` in the module root and
+// decodes the package stream.
+func goList(root string) ([]*listedPackage, error) {
+	cmd := exec.Command("go", "list", "-json", "./...")
+	cmd.Dir = root
 	var out, errb bytes.Buffer
 	cmd.Stdout, cmd.Stderr = &out, &errb
 	if err := cmd.Run(); err != nil {
-		return nil, fmt.Errorf("lint: go list %v: %v\n%s", patterns, err, errb.String())
+		return nil, fmt.Errorf("lint: go list ./... in %s: %v\n%s", root, err, errb.String())
 	}
 	var listed []*listedPackage
 	dec := json.NewDecoder(&out)
@@ -111,7 +138,7 @@ func topoOrder(listed []*listedPackage) ([]string, error) {
 	visit = func(path string) error {
 		lp, ok := byPath[path]
 		if !ok {
-			return nil // stdlib or out-of-pattern: the fallback importer handles it
+			return nil // outside the module: the standard library
 		}
 		switch state[path] {
 		case 1:
@@ -144,14 +171,15 @@ func topoOrder(listed []*listedPackage) ([]string, error) {
 // loader type-checks listed packages, caching results so each package —
 // and each standard-library dependency — is checked once per Load.
 type loader struct {
-	fset     *token.FileSet
-	byPath   map[string]*listedPackage
-	checked  map[string]*Package
-	fallback types.ImporterFrom
+	fset    *token.FileSet
+	module  string // the module path
+	byPath  map[string]*listedPackage
+	checked map[string]*Package
+	std     types.ImporterFrom
 }
 
-// Import implements types.Importer over the in-module cache with a
-// from-source fallback for the standard library.
+// Import implements types.Importer: module packages come from the
+// listing, everything else from standard-library source.
 func (ld *loader) Import(path string) (*types.Package, error) {
 	return ld.ImportFrom(path, "", 0)
 }
@@ -167,7 +195,10 @@ func (ld *loader) ImportFrom(path, srcDir string, mode types.ImportMode) (*types
 		}
 		return pkg.Types, nil
 	}
-	return ld.fallback.ImportFrom(path, srcDir, mode)
+	if path == ld.module || strings.HasPrefix(path, ld.module+"/") {
+		return nil, fmt.Errorf("lint: %s is in module %s but not among its ./... packages (missing, or under testdata or a _ directory)", path, ld.module)
+	}
+	return ld.std.ImportFrom(path, srcDir, mode)
 }
 
 // check parses and type-checks one listed package.

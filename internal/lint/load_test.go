@@ -4,15 +4,14 @@ import (
 	"go/types"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"helios/internal/lint"
 )
 
-// writeTree lays a synthetic module out on disk: a two-package module
-// where `app` imports both its sibling `util` (exercising the in-module
-// importer) and the standard library's strings (exercising the
-// source-importer fallback, which previously had no coverage).
+// writeTree lays a synthetic module out in a temporary directory and
+// returns its root.
 func writeTree(t *testing.T, files map[string]string) string {
 	t.Helper()
 	dir := t.TempDir()
@@ -28,6 +27,9 @@ func writeTree(t *testing.T, files map[string]string) string {
 	return dir
 }
 
+// TestLoadSyntheticModule: `app` imports both its sibling `util` (the
+// in-module importer) and the standard library's strings (the source
+// importer).
 func TestLoadSyntheticModule(t *testing.T) {
 	dir := writeTree(t, map[string]string{
 		"go.mod": "module loadtest\n\ngo 1.22\n",
@@ -50,7 +52,7 @@ func Banner(s string) string { return util.Shout(strings.ToUpper(s)) }
 `,
 	})
 
-	pkgs, err := lint.Load(dir, "./...")
+	pkgs, err := lint.Load(dir)
 	if err != nil {
 		t.Fatalf("Load: %v", err)
 	}
@@ -103,14 +105,110 @@ func Banner(s string) string { return util.Shout(strings.ToUpper(s)) }
 	}
 }
 
-// TestLoadBadPattern: go list failures must surface as errors, not
-// panics or empty loads.
-func TestLoadBadPattern(t *testing.T) {
+// TestLoadWholeModuleFromSubdir loads a module from one package's
+// directory. srv assigns samp's sampler to tel's interface, whose
+// method names a tel type, so it type-checks only if srv and samp see
+// one tel. The whole module must come back, with one *types.Package
+// per import path.
+func TestLoadWholeModuleFromSubdir(t *testing.T) {
 	dir := writeTree(t, map[string]string{
 		"go.mod": "module loadtest\n\ngo 1.22\n",
+		"tel/tel.go": `package tel
+
+type Info struct{ Slow bool }
+
+type Sampler interface{ Sample(Info) bool }
+`,
+		"samp/samp.go": `package samp
+
+import "loadtest/tel"
+
+type Tail struct{}
+
+func (*Tail) Sample(i tel.Info) bool { return i.Slow }
+
+func New() *Tail { return &Tail{} }
+`,
+		"srv/srv.go": `package srv
+
+import (
+	"loadtest/samp"
+	"loadtest/tel"
+)
+
+func Default() tel.Sampler {
+	var s tel.Sampler
+	s = samp.New()
+	return s
+}
+`,
 	})
-	if _, err := lint.Load(dir, "./nosuchpkg"); err == nil {
-		t.Fatal("Load of a nonexistent package pattern succeeded, want error")
+
+	pkgs, err := lint.Load(filepath.Join(dir, "srv"))
+	if err != nil {
+		t.Fatalf("Load: %v", err)
+	}
+	byPath := map[string]*types.Package{}
+	var walk func(p *types.Package)
+	walk = func(p *types.Package) {
+		if prev, ok := byPath[p.Path()]; ok {
+			if prev != p {
+				t.Errorf("%s type-checked twice", p.Path())
+			}
+			return
+		}
+		byPath[p.Path()] = p
+		for _, imp := range p.Imports() {
+			walk(imp)
+		}
+	}
+	var paths []string
+	for _, pkg := range pkgs {
+		paths = append(paths, pkg.Path)
+		walk(pkg.Types)
+	}
+	if want := []string{"loadtest/tel", "loadtest/samp", "loadtest/srv"}; !slices.Equal(paths, want) {
+		t.Errorf("loaded %v, want %v", paths, want)
+	}
+}
+
+// TestLoadListErrors: a failing go list (here a malformed go.mod), and
+// an in-module import that `go list ./...` does not list — a missing
+// package, or one under testdata, which is importable but never matched
+// by ./... — are errors, not panics, empty loads or a second, unaudited
+// universe. Each load runs from inside its module, as heliosvet does:
+// from there the standard library's source importer would resolve the
+// testdata package.
+func TestLoadListErrors(t *testing.T) {
+	wd, err := os.Getwd()
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		if err := os.Chdir(wd); err != nil {
+			t.Error(err)
+		}
+	})
+	const goMod = "module loadtest\n\ngo 1.22\n"
+	for name, files := range map[string]map[string]string{
+		"bad go.mod": {"go.mod": goMod + "bogus\n"},
+		"missing": {
+			"go.mod":     goMod,
+			"app/app.go": "package app\n\nimport \"loadtest/nosuch\"\n\nvar _ = nosuch.X\n",
+		},
+		"unlisted": {
+			"go.mod":          goMod,
+			"app/app.go":      "package app\n\nimport \"loadtest/testdata/x\"\n\nvar _ = x.X\n",
+			"testdata/x/x.go": "package x\n\nconst X = 1\n",
+		},
+	} {
+		dir := writeTree(t, files)
+		if err := os.Chdir(dir); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := lint.Load(dir); err == nil {
+			t.Errorf("%s: Load succeeded, want error", name)
+		}
 	}
 }
 
@@ -124,7 +222,7 @@ func TestLoadTypeError(t *testing.T) {
 func Broken() int { return "not an int" }
 `,
 	})
-	if _, err := lint.Load(dir, "./..."); err == nil {
+	if _, err := lint.Load(dir); err == nil {
 		t.Fatal("Load of an ill-typed package succeeded, want error")
 	}
 }

@@ -12,11 +12,13 @@ import (
 // the suite scheduler fans cells across workers, so its work
 // distribution and result assembly must never depend on map iteration
 // order or wall time, or parallel runs would stop being byte-identical
-// to serial ones.
+// to serial ones. chaos is here too: every campaign draws from a
+// generator seeded by its caller, so a failure replays from its seed,
+// and a wall-clock seed would make it unreproducible.
 var simPackages = map[string]bool{
 	"ooo": true, "fusion": true, "branch": true, "cache": true,
 	"emu": true, "memdep": true, "trace": true,
-	"core": true, "experiments": true,
+	"core": true, "experiments": true, "chaos": true,
 }
 
 // SimDeterminism forbids the three classic nondeterminism sources inside
@@ -28,7 +30,7 @@ var SimDeterminism = &Analyzer{
 	Name: "simdeterminism",
 	Doc: "forbid time.Now, global math/rand calls and order-sensitive map " +
 		"iteration in simulation and scheduling packages " +
-		"(ooo, fusion, branch, cache, emu, memdep, trace, core, experiments)",
+		"(ooo, fusion, branch, cache, emu, memdep, trace, core, experiments, chaos)",
 	Run: runSimDeterminism,
 }
 
@@ -69,7 +71,7 @@ func (p *Pass) checkDeterministicCall(call *ast.CallExpr) {
 	}
 	switch fn.Name() {
 	case "New", "NewSource", "NewZipf":
-		return // constructors; seededrand audits their seed derivation
+		return // constructors; a wall-clock seed is caught as time.Now
 	}
 	if !p.Annotated(call.Pos(), "nondeterminism-ok") {
 		p.Reportf(call.Pos(), "global math/rand.%s in a simulation package: draw from a seeded *rand.Rand instead (or annotate //helios:nondeterminism-ok <reason>)", fn.Name())
@@ -255,4 +257,21 @@ func isBuiltin(p *Pass, call *ast.CallExpr, name string) bool {
 	}
 	_, ok = p.TypesInfo.Uses[id].(*types.Builtin)
 	return ok
+}
+
+// exprString renders a short source-ish form of an expression, the key
+// under which collectLoopMutations records what a loop body mutates
+// (identifiers and selectors verbatim, anything else elided).
+func exprString(e ast.Expr) string {
+	switch e := e.(type) {
+	case *ast.Ident:
+		return e.Name
+	case *ast.SelectorExpr:
+		return exprString(e.X) + "." + e.Sel.Name
+	case *ast.BasicLit:
+		return e.Value
+	case *ast.CallExpr:
+		return exprString(e.Fun) + "(...)"
+	}
+	return "<expr>"
 }

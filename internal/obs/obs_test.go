@@ -3,6 +3,9 @@ package obs
 import (
 	"bytes"
 	"errors"
+	"reflect"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -130,6 +133,30 @@ func TestSampleDeltas(t *testing.T) {
 	}
 	if got := col(row2, "flushes"); got != "3" {
 		t.Errorf("row2 flushes = %s, want 3", got)
+	}
+}
+
+// TestIntervalRowCarriesEveryField fills every IntervalStats field with
+// a distinct value and finds each one in Row's CSV against a zero
+// previous snapshot, where every delta is the value itself: a field
+// added without a column fails here.
+func TestIntervalRowCarriesEveryField(t *testing.T) {
+	var s IntervalStats
+	v := reflect.ValueOf(&s).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		if v.Field(i).Kind() != reflect.Uint64 {
+			t.Fatalf("IntervalStats.%s is not a uint64: extend this test", v.Type().Field(i).Name)
+		}
+		v.Field(i).SetUint(uint64(1001 + i))
+	}
+	row := s.Row(IntervalStats{})
+	if len(row) != len(s.Header()) {
+		t.Fatalf("Row has %d columns, Header %d", len(row), len(s.Header()))
+	}
+	for i := 0; i < v.NumField(); i++ {
+		if want := strconv.Itoa(1001 + i); !slices.Contains(row, want) {
+			t.Errorf("IntervalStats.%s = %s is missing from Row %v", v.Type().Field(i).Name, want, row)
+		}
 	}
 }
 

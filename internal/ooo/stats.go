@@ -1,11 +1,6 @@
 package ooo
 
-import (
-	"fmt"
-
-	"helios/internal/stats"
-	"helios/internal/uop"
-)
+import "helios/internal/stats"
 
 // Stats accumulates everything the evaluation needs: IPC inputs, per-kind
 // fusion counts (Figures 2, 8), structural stall attribution (Figure 9),
@@ -71,8 +66,8 @@ type Stats struct {
 	// it) and an IPC delta decomposes fully into bucket deltas.
 	TopDown stats.TopDown
 
-	// Latency distributions (fixed integer buckets, observed at commit,
-	// reported as count/mean/P50/P95/P99 in Rows).
+	// Latency distributions (fixed integer buckets, observed at commit;
+	// a manifest carries every bucket).
 	IssueWaitHist     stats.Histogram // rename → issue wait per retired µ-op
 	LoadToUseHist     stats.Histogram // issue → complete latency of retired loads
 	FlushRecoveryHist stats.Histogram // flush → first subsequent commit
@@ -160,67 +155,4 @@ func (s *Stats) MeanNCSFDistance() float64 {
 // stall), so the sum never exceeds Cycles.
 func (s *Stats) StallCycles() uint64 {
 	return s.StallFreeList + s.StallROB + s.StallIQ + s.StallLQ + s.StallSQ + s.StallAQ
-}
-
-// Rows enumerates every counter as (name, value) pairs in declaration
-// order; the JSON form of the same counters is a manifest's Stats
-// (`heliossim -manifest`). The statscomplete analyzer checks this
-// enumeration against the struct, so a counter added to Stats without a
-// row here fails lint instead of going silently unreported.
-func (s *Stats) Rows() [][2]string {
-	u := func(v uint64) string { return fmt.Sprint(v) }
-	rows := [][2]string{
-		{"cycles", u(s.Cycles)},
-		{"committed_uops", u(s.CommittedUops)},
-		{"committed_insts", u(s.CommittedInsts)},
-		{"committed_mem", u(s.CommittedMem)},
-		{"fused_idiom", u(s.FusedIdiom)},
-		{"fused_mem_idiom", u(s.FusedMemIdiom)},
-		{"csf_load_pairs", u(s.CSFLoadPairs)},
-		{"csf_store_pairs", u(s.CSFStorePairs)},
-		{"ncsf_load_pairs", u(s.NCSFLoadPairs)},
-		{"ncsf_store_pairs", u(s.NCSFStorePairs)},
-		{"dbr_pairs", u(s.DBRPairs)},
-		{"asymmetric_pairs", u(s.AsymmetricPairs)},
-	}
-	for i, v := range s.PairsByCategory {
-		rows = append(rows, [2]string{
-			fmt.Sprintf("pairs_by_category[%s]", uop.AddrCategory(i)), u(v)})
-	}
-	rows = append(rows, [][2]string{
-		{"distance_sum", u(s.DistanceSum)},
-		{"unfused_at_rename", u(s.UnfusedAtRename)},
-	}...)
-	for i, v := range s.UnfuseReasons {
-		reasons := [5]string{"window", "serializing", "store-in-catalyst", "dbr-store", "deadlock"}
-		rows = append(rows, [2]string{
-			fmt.Sprintf("unfuse_reasons[%s]", reasons[i]), u(v)})
-	}
-	rows = append(rows, [][2]string{
-		{"nest_limit_drops", u(s.NestLimitDrops)},
-		{"fusion_predictions", u(s.FusionPredictions)},
-		{"fusion_mispredicts", u(s.FusionMispredicts)},
-		{"uch_matches", u(s.UCHMatches)},
-		{"fp_trainings", u(s.FPTrainings)},
-		{"branches", u(s.Branches)},
-		{"branch_mispredicts", u(s.BranchMispredicts)},
-		{"store_set_violations", u(s.StoreSetViolations)},
-		{"stl_forwards", u(s.STLForwards)},
-		{"line_crossing_pairs", u(s.LineCrossingPairs)},
-		{"stall_free_list", u(s.StallFreeList)},
-		{"stall_rob", u(s.StallROB)},
-		{"stall_iq", u(s.StallIQ)},
-		{"stall_lq", u(s.StallLQ)},
-		{"stall_sq", u(s.StallSQ)},
-		{"stall_aq", u(s.StallAQ)},
-		{"flushes", u(s.Flushes)},
-		{"chaos_flushes", u(s.ChaosFlushes)},
-		{"mispredict_resolve_lat", u(s.MispredictResolveLat)},
-		{"mispredict_aq_lat", u(s.MispredictAQLat)},
-		{"mispredict_issue_lat", u(s.MispredictIssueLat)},
-	}...)
-	rows = append(rows, s.TopDown.Rows("topdown")...)
-	rows = append(rows, s.IssueWaitHist.Rows("issue_wait")...)
-	rows = append(rows, s.LoadToUseHist.Rows("load_to_use")...)
-	return append(rows, s.FlushRecoveryHist.Rows("flush_recovery")...)
 }

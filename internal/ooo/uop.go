@@ -108,10 +108,6 @@ type pUop struct {
 // only when the tail passes Rename (RaW-safe, Section IV-B2).
 const srcPending = int32(-2)
 
-// isMem reports whether the µ-op accesses memory (including fused idioms
-// whose tail is a load).
-func (u *pUop) isMem() bool { return u.isLoad() || u.isStore() }
-
 func (u *pUop) isLoad() bool {
 	if u.kind == uop.FuseIdiom && u.tailR != nil {
 		return u.tailR.IsLoad()

@@ -51,8 +51,8 @@ func NewDiff(baseLabel string, base []*Manifest, targetLabel string, target []*M
 	return d
 }
 
-// tdBuckets orders the top-down presentation; names match the Rows
-// dump so the markdown cross-references the raw counters.
+// tdBuckets orders the top-down presentation; names match
+// stats.TDBucket's, so the markdown cross-references the raw counters.
 var tdBuckets = []struct {
 	name string
 	get  func(*stats.TopDown) uint64

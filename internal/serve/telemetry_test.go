@@ -16,6 +16,7 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"helios/internal/chaos"
 	"helios/internal/core"
@@ -444,24 +445,43 @@ func TestMetriczFormsDeclareSameFamilies(t *testing.T) {
 }
 
 // TestMetricsTableCarriesEveryCounter sets every field of
-// serve.Counters and telemetry.Metrics, and the six deterministic
-// core.Metrics counters, to distinct values and finds each value in
-// both /metricz renderings, so a counter added without a table entry
-// fails here.
+// serve.Counters, telemetry.Metrics and telemetry.SamplingStats (each
+// policy's kept and evicted counts, and the retained count), and the
+// six deterministic core.Metrics counters, to distinct values and finds
+// each value in both /metricz renderings, so a counter added without a
+// table entry fails here.
 func TestMetricsTableCarriesEveryCounter(t *testing.T) {
 	snap := metricsSnapshot{traced: true}
 	want := map[string]string{} // rendered value → field
 	next := uint64(1000)
+	mark := func(field string) uint64 {
+		next++
+		want[strconv.FormatUint(next, 10)] = field
+		return next
+	}
 	for _, v := range []reflect.Value{
 		reflect.ValueOf(&snap.c).Elem(),
 		reflect.ValueOf(&snap.tracing).Elem(),
 		reflect.ValueOf(&snap.suite).Elem(),
+		reflect.ValueOf(&snap.sampling).Elem(),
 	} {
 		for i := 0; i < v.NumField(); i++ {
-			if f := v.Field(i); f.Kind() == reflect.Uint64 {
-				next++
-				f.SetUint(next)
-				want[strconv.FormatUint(next, 10)] = v.Type().Name() + "." + v.Type().Field(i).Name
+			f, name := v.Field(i), v.Type().Name()+"."+v.Type().Field(i).Name
+			switch f.Interface().(type) {
+			case uint64:
+				f.SetUint(mark(name))
+			case int:
+				f.SetInt(int64(mark(name)))
+			case []telemetry.PolicyCount:
+				for _, policy := range []string{"error", "slow"} {
+					pc := telemetry.PolicyCount{Policy: policy, Count: mark(name + "[" + policy + "]")}
+					f.Set(reflect.Append(f, reflect.ValueOf(pc)))
+				}
+			case time.Duration, []core.CellWall:
+				// core.Metrics' wall time: `experiments -walltime`
+				// prints it, /metricz does not.
+			default:
+				t.Fatalf("%s has unhandled type %s: extend this test and the /metricz table", name, f.Type())
 			}
 		}
 	}

@@ -132,17 +132,3 @@ func (h *Histogram) checkGeometry(role string) error {
 	}
 	return nil
 }
-
-// Rows enumerates the histogram's summary as (name, value) pairs using
-// the given prefix: count, mean and the P50/P95/P99 quantiles — the
-// shape ooo.Stats.Rows splices into its dump surface.
-func (h *Histogram) Rows(prefix string) [][2]string {
-	u := func(v uint64) string { return fmt.Sprint(v) }
-	return [][2]string{
-		{prefix + "_count", u(h.Count)},
-		{prefix + "_mean", u(h.Mean())},
-		{prefix + "_p50", u(h.Percentile(50))},
-		{prefix + "_p95", u(h.Percentile(95))},
-		{prefix + "_p99", u(h.Percentile(99))},
-	}
-}

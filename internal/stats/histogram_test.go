@@ -103,24 +103,3 @@ func TestObserveNoAllocs(t *testing.T) {
 		t.Errorf("Observe+Percentile allocated %.1f times per run, want 0", allocs)
 	}
 }
-
-// TestRows asserts the Rows splice carries the five summary rows with
-// the prefix applied.
-func TestRows(t *testing.T) {
-	var h Histogram
-	h.Observe(10)
-	h.Observe(20)
-	rows := h.Rows("lat")
-	if len(rows) != 5 {
-		t.Fatalf("Rows returned %d entries, want 5", len(rows))
-	}
-	want := []string{"lat_count", "lat_mean", "lat_p50", "lat_p95", "lat_p99"}
-	for i, w := range want {
-		if rows[i][0] != w {
-			t.Errorf("row %d named %q, want %q", i, rows[i][0], w)
-		}
-	}
-	if rows[0][1] != "2" || rows[1][1] != "15" {
-		t.Errorf("count/mean = %s/%s, want 2/15", rows[0][1], rows[1][1])
-	}
-}

@@ -144,25 +144,3 @@ func (t *TopDown) CheckConservation() error {
 	}
 	return nil
 }
-
-// Rows enumerates the account as (name, value) pairs with the given
-// prefix — the shape ooo.Stats.Rows splices into its dump surface. All
-// twelve fields appear raw (no derived percentages) so the dump is
-// loss-free and the conservation check can be re-run on a parsed dump.
-func (t *TopDown) Rows(prefix string) [][2]string {
-	u := func(v uint64) string { return fmt.Sprint(v) }
-	return [][2]string{
-		{prefix + "_slots_per_cycle", u(t.SlotsPerCycle)},
-		{prefix + "_cycles", u(t.Cycles)},
-		{prefix + "_retiring", u(t.Retiring)},
-		{prefix + "_fused_retiring", u(t.FusedRetiring)},
-		{prefix + "_frontend_latency", u(t.FrontendLatency)},
-		{prefix + "_frontend_bandwidth", u(t.FrontendBandwidth)},
-		{prefix + "_bad_speculation", u(t.BadSpeculation)},
-		{prefix + "_backend_core", u(t.BackendCore)},
-		{prefix + "_backend_mem_l1d", u(t.BackendMemL1D)},
-		{prefix + "_backend_mem_l2", u(t.BackendMemL2)},
-		{prefix + "_backend_mem_llc", u(t.BackendMemLLC)},
-		{prefix + "_backend_mem_dram", u(t.BackendMemDRAM)},
-	}
-}

@@ -55,28 +55,6 @@ func TestTopDownConservationViolations(t *testing.T) {
 	}
 }
 
-func TestTopDownRows(t *testing.T) {
-	td := TopDown{SlotsPerCycle: 5, Cycles: 2}
-	td.Add(TDRetiring, 10)
-	rows := td.Rows("topdown")
-	if len(rows) != 12 {
-		t.Fatalf("Rows has %d entries, want 12 (one per field)", len(rows))
-	}
-	seen := map[string]string{}
-	for _, r := range rows {
-		if !strings.HasPrefix(r[0], "topdown_") {
-			t.Errorf("row %q missing prefix", r[0])
-		}
-		if _, dup := seen[r[0]]; dup {
-			t.Errorf("duplicate row %q", r[0])
-		}
-		seen[r[0]] = r[1]
-	}
-	if seen["topdown_retiring"] != "10" || seen["topdown_cycles"] != "2" {
-		t.Errorf("rows carry wrong values: %v", seen)
-	}
-}
-
 func TestTDBucketString(t *testing.T) {
 	if TDRetiring.String() != "retiring" || TDBackendMemDRAM.String() != "backend_mem_dram" {
 		t.Errorf("bucket names drifted: %v, %v", TDRetiring, TDBackendMemDRAM)

@@ -23,7 +23,7 @@
 //     OpenMetrics exposition) must therefore never be spliced into a
 //     deterministic surface such as `experiments -metrics` or a
 //     manifest's stats block. Exports live in their own
-//     files/endpoints, exactly like ooo.Stats.WallRows vs Rows.
+//     files/endpoints, exactly like core.Metrics.WallRows vs Rows.
 package telemetry
 
 import (
@@ -103,24 +103,6 @@ type Metrics struct {
 	// quiescence, and Kept - RingEvicted == len(ring).
 	SampledKept    uint64
 	SampledDropped uint64
-}
-
-// Rows enumerates every counter as (name, value) pairs — the dump
-// surface heliosvet's statscomplete analyzer requires of a *Metrics
-// struct.
-func (m Metrics) Rows() [][2]string {
-	u := func(v uint64) string { return fmt.Sprint(v) }
-	return [][2]string{
-		{"traces_started", u(m.TracesStarted)},
-		{"traces_finished", u(m.TracesFinished)},
-		{"spans_started", u(m.SpansStarted)},
-		{"spans_ended", u(m.SpansEnded)},
-		{"span_double_ends", u(m.SpanDoubleEnds)},
-		{"spans_dropped", u(m.SpansDropped)},
-		{"ring_evicted", u(m.RingEvicted)},
-		{"sampled_kept", u(m.SampledKept)},
-		{"sampled_dropped", u(m.SampledDropped)},
-	}
 }
 
 // Balance returns a non-nil error when the lifecycle contract is
@@ -619,26 +601,12 @@ type PolicyCount struct {
 // KeptByPolicy counts ring admissions by deciding policy, and
 // EvictedByPolicy counts evictions by the evicted trace's admitting
 // policy — together with Metrics they close the retention ledger
-// (kept − evicted == retained). Rows are sorted by policy name for
-// deterministic exposition.
+// (kept − evicted == retained). Both splits are sorted by policy name
+// for deterministic exposition.
 type SamplingStats struct {
 	KeptByPolicy    []PolicyCount
 	EvictedByPolicy []PolicyCount
 	Retained        int
-}
-
-// Rows enumerates the sampling ledger as (name, value) pairs — the
-// dump surface heliosvet's statscomplete analyzer requires, flattening
-// the per-policy splits into kept_<policy> / evicted_<policy> rows.
-func (s SamplingStats) Rows() [][2]string {
-	out := [][2]string{{"retained", fmt.Sprint(s.Retained)}}
-	for _, pc := range s.KeptByPolicy {
-		out = append(out, [2]string{"kept_" + pc.Policy, fmt.Sprint(pc.Count)})
-	}
-	for _, pc := range s.EvictedByPolicy {
-		out = append(out, [2]string{"evicted_" + pc.Policy, fmt.Sprint(pc.Count)})
-	}
-	return out
 }
 
 // Sampling snapshots the per-policy accounting. Safe on nil (zero).
