@@ -109,6 +109,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 
 	// Phase one: obtain the committed stream. Load it from a trace file,
 	// or record it once from the emulator when -compare will reuse it.
+	// Replays stop at the budget, as a live single run does.
 	var (
 		rec    *trace.Recording
 		budget uint64 // replay bound on rec; 0 drains it
@@ -138,6 +139,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 			if rec, err = w.Record(*insts); err != nil {
 				return fail(stderr, err)
 			}
+			budget = rec.MaxInsts
 		}
 	}
 	replay := func(cfg ooo.Config) (*core.Result, error) {
@@ -290,8 +292,12 @@ func printResult(out io.Writer, r *core.Result) {
 		s.NCSFPairs(), s.NCSFLoadPairs, s.NCSFStorePairs)
 	fmt.Fprintf(out, "pair attributes:    %d DBR, %d asymmetric, mean NCSF distance %.1f\n",
 		s.DBRPairs, s.AsymmetricPairs, s.MeanNCSFDistance())
-	fmt.Fprintf(out, "unfused at rename:  %d (window/serial/store/dbr/deadlock = %v)\n\n",
-		s.UnfusedAtRename, s.UnfuseReasons)
+	reasons := make([]string, fusion.NumUnfuseReasons)
+	for r := range reasons {
+		reasons[r] = fusion.UnfuseReason(r).String()
+	}
+	fmt.Fprintf(out, "unfused at rename:  %d (%s = %v)\n\n",
+		s.UnfusedAtRename, strings.Join(reasons, "/"), s.UnfuseReasons)
 
 	fmt.Fprintf(out, "fusion predictor:   %d predictions, %d mispredicts (accuracy %.2f%%, coverage %.2f%%, MPKI %.4f)\n",
 		s.FusionPredictions, s.FusionMispredicts, 100*s.Accuracy(), 100*s.Coverage(), s.FusionMPKI())

@@ -138,6 +138,24 @@ func TestTraceInHonoursBudget(t *testing.T) {
 	}
 }
 
+// TestLiveCompareHonoursBudget: a live -compare records -insts
+// instructions and must replay them to the same budget as the single
+// run, not drain the store buffer past it.
+func TestLiveCompareHonoursBudget(t *testing.T) {
+	_, live, _ := runSim(t, "-workload", "xz", "-insts", "20000")
+	ipc := regexp.MustCompile(`(?m)^IPC:\s+(\S+)$`).FindStringSubmatch(live)
+	if ipc == nil {
+		t.Fatalf("no IPC line in:\n%s", live)
+	}
+	code, table, stderr := runSim(t, "-workload", "xz", "-insts", "20000", "-compare")
+	if code != 0 {
+		t.Fatalf("-compare exit %d: %s", code, stderr)
+	}
+	if got := ipcOf(t, table, "Helios"); got != ipc[1] {
+		t.Errorf("-compare Helios IPC = %s, want the 20000-instruction run's %s", got, ipc[1])
+	}
+}
+
 // TestIntervalZeroRejected: interval metrics at period 0 would write
 // nothing at all, not even the CSV header, so the flag error exits 2
 // before any file is created. The default period writes a series.

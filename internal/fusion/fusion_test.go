@@ -91,36 +91,57 @@ func TestMatchMemPair(t *testing.T) {
 	ld := func(rd isa.Reg, imm int64) isa.Inst { return inst(isa.OpLD, rd, isa.A0, 0, imm) }
 	sd := func(rs2 isa.Reg, imm int64) isa.Inst { return inst(isa.OpSD, 0, isa.A0, rs2, imm) }
 
-	if id, ok := MatchMemPair(ld(isa.T0, 0), ld(isa.T1, 8), false); !ok || id != IdiomLoadPair {
+	if id, ok := MatchMemPair(ld(isa.T0, 0), ld(isa.T1, 8)); !ok || id != IdiomLoadPair {
 		t.Error("contiguous load pair not matched")
 	}
-	if id, ok := MatchMemPair(ld(isa.T0, 8), ld(isa.T1, 0), false); !ok || id != IdiomLoadPair {
+	if id, ok := MatchMemPair(ld(isa.T0, 8), ld(isa.T1, 0)); !ok || id != IdiomLoadPair {
 		t.Error("descending contiguous load pair not matched")
 	}
-	if _, ok := MatchMemPair(ld(isa.T0, 0), ld(isa.T1, 16), false); ok {
+	if _, ok := MatchMemPair(ld(isa.T0, 0), ld(isa.T1, 16)); ok {
 		t.Error("gap pair must not match statically")
 	}
-	if _, ok := MatchMemPair(ld(isa.A0, 0), ld(isa.T1, 8), false); ok {
+	if _, ok := MatchMemPair(ld(isa.A0, 0), ld(isa.T1, 8)); ok {
 		t.Error("dependent loads (base overwritten) must not match")
 	}
-	if _, ok := MatchMemPair(ld(isa.T0, 0), ld(isa.T0, 8), false); ok {
+	if _, ok := MatchMemPair(ld(isa.T0, 0), ld(isa.T0, 8)); ok {
 		t.Error("same destination must not match")
 	}
-	if id, ok := MatchMemPair(sd(isa.T0, 0), sd(isa.T1, 8), false); !ok || id != IdiomStorePair {
+	if id, ok := MatchMemPair(sd(isa.T0, 0), sd(isa.T1, 8)); !ok || id != IdiomStorePair {
 		t.Error("store pair not matched")
 	}
 	// Different base registers never match statically.
 	other := inst(isa.OpLD, isa.T1, isa.A1, 0, 8)
-	if _, ok := MatchMemPair(ld(isa.T0, 0), other, false); ok {
+	if _, ok := MatchMemPair(ld(isa.T0, 0), other); ok {
 		t.Error("different base must not match")
 	}
 	// Asymmetric pair: ld + lw contiguous.
 	lw := inst(isa.OpLW, isa.T1, isa.A0, 0, 8)
-	if _, ok := MatchMemPair(ld(isa.T0, 0), lw, false); ok {
-		t.Error("asymmetric must not match when disallowed")
+	if id, ok := MatchMemPair(ld(isa.T0, 0), lw); !ok || id != IdiomLoadPair {
+		t.Error("asymmetric contiguous pair should match")
 	}
-	if id, ok := MatchMemPair(ld(isa.T0, 0), lw, true); !ok || id != IdiomLoadPair {
-		t.Error("asymmetric should match when allowed")
+	// A load and a store never pair.
+	if _, ok := MatchMemPair(ld(isa.T0, 0), sd(isa.T1, 8)); ok {
+		t.Error("load + store must not match")
+	}
+}
+
+func TestEligible(t *testing.T) {
+	cases := []struct {
+		name       string
+		head, tail isa.Inst
+		want       bool
+	}{
+		{"two loads", inst(isa.OpLD, isa.T0, isa.A0, 0, 0), inst(isa.OpLW, isa.T1, isa.A1, 0, 8), true},
+		{"two stores, one base", inst(isa.OpSD, 0, isa.A0, isa.T0, 0), inst(isa.OpSW, 0, isa.A0, isa.T1, 8), true},
+		{"two stores, two bases", inst(isa.OpSD, 0, isa.A0, isa.T0, 0), inst(isa.OpSD, 0, isa.A1, isa.T1, 8), false},
+		{"load then store", inst(isa.OpLD, isa.T0, isa.A0, 0, 0), inst(isa.OpSD, 0, isa.A0, isa.T1, 8), false},
+		{"store then load", inst(isa.OpSD, 0, isa.A0, isa.T0, 0), inst(isa.OpLD, isa.T1, isa.A0, 0, 8), false},
+		{"alu head", inst(isa.OpADD, isa.T0, isa.A0, isa.A1, 0), inst(isa.OpLD, isa.T1, isa.A0, 0, 8), false},
+	}
+	for _, c := range cases {
+		if got := Eligible(c.head, c.tail); got != c.want {
+			t.Errorf("%s: Eligible = %v, want %v", c.name, got, c.want)
+		}
 	}
 }
 
@@ -147,7 +168,7 @@ func TestTailDependsOnHead(t *testing.T) {
 		alu(1, 3, 1, 0),
 		mem(2, isa.OpLD, 3, 4, 0x108),
 	}
-	if !TailDependsOnHead(recs) {
+	if !tailDependsOnHead(recs) {
 		t.Error("indirect dependence not detected")
 	}
 	// Independent catalyst.
@@ -156,7 +177,7 @@ func TestTailDependsOnHead(t *testing.T) {
 		alu(1, 5, 6, 7),
 		mem(2, isa.OpLD, 2, 4, 0x108),
 	}
-	if TailDependsOnHead(recs2) {
+	if tailDependsOnHead(recs2) {
 		t.Error("false dependence detected")
 	}
 	// Taint killed by overwrite: x3 tainted then overwritten with clean value.
@@ -166,7 +187,7 @@ func TestTailDependsOnHead(t *testing.T) {
 		alu(2, 3, 6, 7), // x3 overwritten clean
 		mem(3, isa.OpLD, 3, 4, 0x108),
 	}
-	if TailDependsOnHead(recs3) {
+	if tailDependsOnHead(recs3) {
 		t.Error("overwritten taint should clear")
 	}
 	// Direct dependence (tail base is head dest).
@@ -174,28 +195,62 @@ func TestTailDependsOnHead(t *testing.T) {
 		mem(0, isa.OpLD, 2, 1, 0x100),
 		mem(1, isa.OpLD, 1, 4, 0x108),
 	}
-	if !TailDependsOnHead(recs4) {
+	if !tailDependsOnHead(recs4) {
 		t.Error("direct dependence not detected")
 	}
 }
 
+// TestCatalystPredicates drives CheckCatalyst through every reason, the
+// precedence between them, and the rules that apply to one pair kind
+// only. CheckCatalyst reads no addresses: only opcodes and registers
+// matter.
 func TestCatalystPredicates(t *testing.T) {
-	recs := []emu.Retired{
-		mem(0, isa.OpSD, 2, 1, 0x100),
-		mem(1, isa.OpSD, 2, 5, 0x200),
-		mem(2, isa.OpSD, 2, 4, 0x108),
+	ld := func(seq uint64, base, rd isa.Reg) emu.Retired { return mem(seq, isa.OpLD, base, rd, 0x100+8*seq) }
+	sd := func(seq uint64, base, rs2 isa.Reg) emu.Retired { return mem(seq, isa.OpSD, base, rs2, 0x100+8*seq) }
+	fence := func(seq uint64) emu.Retired { return emu.Retired{Seq: seq, Inst: isa.Inst{Op: isa.OpFENCE}} }
+	far := func(seq uint64) emu.Retired { return mem(seq, isa.OpSD, 9, 5, 0x4000) } // a store elsewhere
+
+	cases := []struct {
+		name   string
+		span   []emu.Retired
+		want   UnfuseReason
+		unfuse bool
+	}{
+		{"no span", nil, UnfuseWindow, true},
+		{"head only", []emu.Retired{ld(0, 2, 1)}, UnfuseWindow, true},
+		{"consecutive loads", []emu.Retired{ld(0, 2, 1), ld(1, 2, 3)}, 0, false},
+		{"clean load catalyst", []emu.Retired{ld(0, 2, 1), alu(1, 5, 6, 7), ld(2, 2, 3)}, 0, false},
+		{"clean store catalyst", []emu.Retired{sd(0, 2, 1), alu(1, 5, 6, 7), sd(2, 2, 3)}, 0, false},
+		{"load pair across a fence", []emu.Retired{ld(0, 2, 1), fence(1), ld(2, 2, 3)}, UnfuseSerializing, true},
+		{"store pair across a fence", []emu.Retired{sd(0, 2, 1), fence(1), sd(2, 2, 3)}, UnfuseSerializing, true},
+		{"store pair across a store", []emu.Retired{sd(0, 2, 1), far(1), sd(2, 2, 3)}, UnfuseStore, true},
+		{"store pair across a base rewrite", []emu.Retired{sd(0, 2, 1), alu(1, 2, 2, 0), sd(2, 2, 3)}, UnfuseBaseRewrite, true},
+		{"load pair with a dependent tail", []emu.Retired{ld(0, 2, 1), alu(1, 3, 1, 0), ld(2, 3, 4)}, UnfuseDeadlock, true},
+
+		// Precedence: serializing > store > base rewrite.
+		{"fence beats store, store first", []emu.Retired{sd(0, 2, 1), far(1), fence(2), sd(3, 2, 3)}, UnfuseSerializing, true},
+		{"fence beats store, fence first", []emu.Retired{sd(0, 2, 1), fence(1), far(2), sd(3, 2, 3)}, UnfuseSerializing, true},
+		{"store beats base rewrite", []emu.Retired{sd(0, 2, 1), alu(1, 2, 2, 0), far(2), sd(3, 2, 3)}, UnfuseStore, true},
+		{"fence beats deadlock", []emu.Retired{ld(0, 2, 1), alu(1, 3, 1, 0), fence(2), ld(3, 3, 4)}, UnfuseSerializing, true},
+
+		// A load pair ignores the store rules ...
+		{"load pair across a store", []emu.Retired{ld(0, 2, 1), far(1), ld(2, 2, 3)}, 0, false},
+		{"load pair across a base rewrite", []emu.Retired{ld(0, 2, 1), alu(1, 2, 6, 7), ld(2, 2, 3)}, 0, false},
+		// ... and a store pair the deadlock rule: its tail's data register
+		// comes through the catalyst from the head's, but a store writes
+		// no register for it to wait on.
+		{"store pair, tail data from head data", []emu.Retired{sd(0, 2, 1), alu(1, 3, 1, 0), sd(2, 2, 3)}, 0, false},
 	}
-	if !CatalystHasStore(recs) {
-		t.Error("store in catalyst missed")
+	for _, c := range cases {
+		got, unfuse := CheckCatalyst(c.span)
+		if unfuse != c.unfuse || (unfuse && got != c.want) {
+			t.Errorf("%s: CheckCatalyst = %v, %v; want %v, %v", c.name, got, unfuse, c.want, c.unfuse)
+		}
 	}
-	recs[1] = alu(1, 5, 6, 7)
-	if CatalystHasStore(recs) {
-		t.Error("false store in catalyst")
-	}
-	fence := emu.Retired{Seq: 1, Inst: isa.Inst{Op: isa.OpFENCE}}
-	recs[1] = fence
-	if !CatalystHasSerializing(recs) {
-		t.Error("serializing in catalyst missed")
+	for r := UnfuseReason(0); r < NumUnfuseReasons; r++ {
+		if r.String() == "?" {
+			t.Errorf("reason %d has no name", r)
+		}
 	}
 }
 
@@ -314,30 +369,6 @@ func TestOracleRestrictedConfigs(t *testing.T) {
 	o.Observe(alu(1, 5, 6, 7))
 	if _, ok := o.Observe(mem(2, isa.OpLD, 2, 3, 0x108)); ok {
 		t.Error("ConsecutiveOnly violated")
-	}
-	// SameBaseOnly rejects DBR.
-	cfg = DefaultPairConfig()
-	cfg.SameBaseOnly = true
-	o = NewOracle(cfg)
-	o.Observe(mem(0, isa.OpLD, 2, 1, 0x100))
-	if _, ok := o.Observe(mem(1, isa.OpLD, 9, 3, 0x108)); ok {
-		t.Error("SameBaseOnly violated")
-	}
-	// ContiguousOnly rejects same-line gaps.
-	cfg = DefaultPairConfig()
-	cfg.ContiguousOnly = true
-	o = NewOracle(cfg)
-	o.Observe(mem(0, isa.OpLD, 2, 1, 0x100))
-	if _, ok := o.Observe(mem(1, isa.OpLD, 2, 3, 0x110)); ok {
-		t.Error("ContiguousOnly violated")
-	}
-	// SymmetricOnly rejects mixed sizes.
-	cfg = DefaultPairConfig()
-	cfg.SymmetricOnly = true
-	o = NewOracle(cfg)
-	o.Observe(mem(0, isa.OpLD, 2, 1, 0x100))
-	if _, ok := o.Observe(mem(1, isa.OpLW, 2, 3, 0x108)); ok {
-		t.Error("SymmetricOnly violated")
 	}
 }
 

@@ -1,8 +1,11 @@
 // Package fusion implements the paper's fusion machinery that does not
 // need the Helios predictor: the RISC-V macro-op fusion idiom catalogue of
-// Celio et al. (Table I), static detection of consecutive memory pairs,
-// register dependence analysis over a catalyst, and the OracleFusion
-// upper-bound pairing used in the evaluation.
+// Celio et al. (Table I), the memory-pair rulebook of Section IV-B
+// (pair.go: eligibility, the catalyst check with its typed unfuse
+// reasons, and the pair's attributes), static detection of consecutive
+// memory pairs, and the OracleFusion upper-bound pairing used in the
+// evaluation. The pipeline's decode, AQ and rename stages decide memory
+// pairs through the same rulebook as the Oracle.
 package fusion
 
 import (
@@ -106,44 +109,27 @@ func MatchNonMemIdiom(a, b isa.Inst) Idiom {
 	return IdiomNone
 }
 
-// MatchMemPair recognises a consecutive memory pairing idiom: two loads or
-// two stores through the same base register whose immediates make the
-// accesses exactly contiguous. When allowAsymmetric is false the accesses
-// must also have the same size (the architectural ldp/stp restriction).
+// MatchMemPair recognises a consecutive memory pairing idiom: an
+// Eligible pair through one base register whose immediates make the
+// accesses exactly contiguous. The sizes may differ.
 //
 // A load pair is rejected when the second load depends on the first
 // (dependent loads, Section II-B) or when both write the same register.
-func MatchMemPair(a, b isa.Inst, allowAsymmetric bool) (Idiom, bool) {
-	switch {
-	case a.Op.IsLoad() && b.Op.IsLoad():
-		if a.Rs1 != b.Rs1 {
-			return IdiomNone, false
-		}
-		// Dependent loads cannot fuse: the first load produces the base
-		// of the second, or rewrites its own base used by the second.
-		if b.Rs1 == a.Rd || a.Rd == b.Rd {
-			return IdiomNone, false
-		}
-		if !contiguousImm(a.Imm, a.Op.MemSize(), b.Imm, b.Op.MemSize(), allowAsymmetric) {
-			return IdiomNone, false
-		}
+func MatchMemPair(a, b isa.Inst) (Idiom, bool) {
+	if !Eligible(a, b) || a.Rs1 != b.Rs1 {
+		return IdiomNone, false
+	}
+	// Dependent loads cannot fuse: the first load produces the base of
+	// the second, or rewrites its own base used by the second.
+	if a.Op.IsLoad() && (b.Rs1 == a.Rd || a.Rd == b.Rd) {
+		return IdiomNone, false
+	}
+	sa, sb := int64(a.Op.MemSize()), int64(b.Op.MemSize())
+	if a.Imm+sa != b.Imm && b.Imm+sb != a.Imm {
+		return IdiomNone, false
+	}
+	if a.Op.IsLoad() {
 		return IdiomLoadPair, true
-	case a.Op.IsStore() && b.Op.IsStore():
-		if a.Rs1 != b.Rs1 {
-			return IdiomNone, false
-		}
-		if !contiguousImm(a.Imm, a.Op.MemSize(), b.Imm, b.Op.MemSize(), allowAsymmetric) {
-			return IdiomNone, false
-		}
-		return IdiomStorePair, true
 	}
-	return IdiomNone, false
-}
-
-// contiguousImm checks static contiguity of two same-base accesses.
-func contiguousImm(imm0 int64, sz0 uint8, imm1 int64, sz1 uint8, allowAsymmetric bool) bool {
-	if !allowAsymmetric && sz0 != sz1 {
-		return false
-	}
-	return imm0+int64(sz0) == imm1 || imm1+int64(sz1) == imm0
+	return IdiomStorePair, true
 }

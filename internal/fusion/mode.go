@@ -57,9 +57,6 @@ func (m Mode) ConsecutiveMemPairs() bool {
 	return m == ModeCSFSBR || m == ModeRISCVFusionPP || m == ModeHelios || m == ModeOracle
 }
 
-// AsymmetricPairs reports whether differently sized accesses may pair.
-func (m Mode) AsymmetricPairs() bool { return m.ConsecutiveMemPairs() }
-
 // Predictive reports whether the Helios UCH+FP predictor drives
 // non-consecutive fusion.
 func (m Mode) Predictive() bool { return m == ModeHelios }

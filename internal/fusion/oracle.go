@@ -2,47 +2,25 @@ package fusion
 
 import (
 	"helios/internal/emu"
-	"helios/internal/uop"
 )
 
-// PairConfig bounds which dynamic memory pairs are considered eligible.
-// The defaults mirror the paper: fusion within one cache-line-sized region
-// (64 B), head at most 64 µ-ops away, loads may use different base
-// registers, store pairs must share the base register and must not fuse
-// across another store.
+// PairConfig bounds which dynamic memory pairs the Oracle considers. The
+// defaults mirror the paper: fusion within one cache-line-sized region
+// (64 B), head at most 64 µ-ops away. Which accesses may pair at all is
+// the rulebook's (Eligible, CheckCatalyst), not the config's.
 type PairConfig struct {
 	LineSize uint64
 	MaxDist  int
 
 	// ConsecutiveOnly restricts pairing to adjacent µ-ops (no catalyst).
 	ConsecutiveOnly bool
-	// SameBaseOnly restricts pairing to µ-ops sharing the architectural
-	// base register.
-	SameBaseOnly bool
-	// ContiguousOnly restricts pairing to exactly contiguous accesses.
-	ContiguousOnly bool
-	// SymmetricOnly restricts pairing to equal access sizes.
-	SymmetricOnly bool
 }
 
-// DefaultPairConfig returns the paper's Helios/Oracle eligibility rules.
+// DefaultPairConfig returns the paper's bounds: a 64 B region and a head
+// at most 64 µ-ops before its tail.
 func DefaultPairConfig() PairConfig {
 	return PairConfig{LineSize: 64, MaxDist: 64}
 }
-
-// Pairing describes one fused memory pair found in the dynamic stream.
-type Pairing struct {
-	HeadSeq   uint64
-	TailSeq   uint64
-	Kind      uop.FuseKind
-	Category  uop.AddrCategory
-	Distance  int  // tail seq - head seq (1 = consecutive)
-	SameBase  bool // same architectural base register
-	Symmetric bool // equal access sizes
-}
-
-// Consecutive reports whether the pair has an empty catalyst.
-func (p Pairing) Consecutive() bool { return p.Distance == 1 }
 
 // Oracle performs perfect look-ahead pairing over the committed dynamic
 // stream: every memory µ-op is matched with the closest older unpaired
@@ -86,78 +64,30 @@ func (o *Oracle) Observe(r emu.Retired) (Pairing, bool) {
 		maxBack = 1
 	}
 	for back := 1; back <= maxBack && tailIdx-back >= 0; back++ {
-		headIdx := tailIdx - back
-		h := o.window[headIdx]
-		if p, ok := o.tryPair(headIdx, tailIdx, h, r); ok {
-			o.paired[h.Seq] = true
-			o.paired[r.Seq] = true
+		if p, ok := o.tryPair(tailIdx-back, tailIdx); ok {
+			o.paired[p.HeadSeq] = true
+			o.paired[p.TailSeq] = true
 			return p, true
 		}
 	}
 	return Pairing{}, false
 }
 
-func (o *Oracle) tryPair(headIdx, tailIdx int, h, t emu.Retired) (Pairing, bool) {
-	if h.MemSize == 0 || o.paired[h.Seq] {
+// tryPair applies the rulebook to the window records at headIdx and
+// tailIdx.
+func (o *Oracle) tryPair(headIdx, tailIdx int) (Pairing, bool) {
+	h, t := &o.window[headIdx], &o.window[tailIdx]
+	if !Eligible(h.Inst, t.Inst) || o.paired[h.Seq] {
 		return Pairing{}, false
 	}
-	var kind uop.FuseKind
-	switch {
-	case h.IsLoad() && t.IsLoad():
-		kind = uop.FuseLoadPair
-	case h.IsStore() && t.IsStore():
-		kind = uop.FuseStorePair
-	default:
+	p := Pair(h, t, o.cfg.LineSize)
+	if !p.Category.Fuseable() {
 		return Pairing{}, false
 	}
-	sameBase := h.Inst.Rs1 == t.Inst.Rs1
-	if o.cfg.SameBaseOnly && !sameBase {
+	if _, unfuse := CheckCatalyst(o.window[headIdx : tailIdx+1]); unfuse {
 		return Pairing{}, false
 	}
-	if o.cfg.SymmetricOnly && h.MemSize != t.MemSize {
-		return Pairing{}, false
-	}
-	cat := uop.Classify(h.EA, h.MemSize, t.EA, t.MemSize, o.cfg.LineSize)
-	if !cat.Fuseable() {
-		return Pairing{}, false
-	}
-	if o.cfg.ContiguousOnly && cat != uop.AddrContiguous {
-		return Pairing{}, false
-	}
-	span := o.window[headIdx : tailIdx+1]
-	if CatalystHasSerializing(span) {
-		return Pairing{}, false
-	}
-	if kind == uop.FuseLoadPair {
-		if TailDependsOnHead(span) {
-			return Pairing{}, false // would deadlock
-		}
-	} else {
-		// Store pairs: same base register only (DBR store fusion is
-		// negligible, Section IV-B) and no store in the catalyst. A
-		// catalyst that rewrites the base register makes the pair
-		// DBR-by-value, which the hardware equally cannot fuse.
-		if !sameBase {
-			return Pairing{}, false
-		}
-		if CatalystHasStore(span) {
-			return Pairing{}, false
-		}
-		for _, rec := range span[1 : len(span)-1] {
-			if rec.Inst.WritesReg(h.Inst.Rs1) {
-				return Pairing{}, false
-			}
-		}
-	}
-	return Pairing{
-		HeadSeq:   h.Seq,
-		TailSeq:   t.Seq,
-		Kind:      kind,
-		Category:  cat,
-		Distance:  int(t.Seq - h.Seq),
-		SameBase:  sameBase,
-		Symmetric: h.MemSize == t.MemSize,
-	}, true
+	return p, true
 }
 
 // Reset clears the window (used on pipeline flushes when the oracle is

@@ -2,7 +2,6 @@ package lint
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
 	"regexp"
 	"sort"
@@ -26,16 +25,13 @@ import (
 // assuming it is safe.
 
 // Module is one analysis universe: every package loaded together, plus
-// the lazily built call graph and a module-wide annotation index (a
-// cross-package analyzer may report a finding in a package other than
-// the one its pass is visiting, so the waiver lookup must span all of
-// them).
+// the module-wide waiver index and the lazily built call graph.
 type Module struct {
 	Pkgs []*Package
 
-	graph *CallGraph
-	ann   map[string]map[int][]string // filename → line → annotation keys
-	facts map[string]any
+	graph   *CallGraph
+	waivers *waiverIndex
+	facts   map[string]any
 }
 
 // Fact returns the module-scoped fact stored under key, creating it
@@ -59,52 +55,15 @@ func (m *Module) Fact(key string, mk func() any) any {
 // NewModule groups the packages into one universe. All packages must
 // share one *token.FileSet (both Load and the linttest harness do).
 func NewModule(pkgs []*Package) *Module {
-	return &Module{Pkgs: pkgs}
+	return &Module{Pkgs: pkgs, waivers: indexWaivers(pkgs)}
 }
 
 // Graph returns the module's call graph, building it on first use.
 func (m *Module) Graph() *CallGraph {
 	if m.graph == nil {
-		m.graph = buildCallGraph(m.Pkgs)
+		m.graph = buildCallGraph(m.Pkgs, m.waivers)
 	}
 	return m.graph
-}
-
-// Annotated reports whether pos is covered by a //helios:<key> comment
-// on its own line or the line above, searching every package in the
-// module (the module-wide analogue of Pass.Annotated).
-func (m *Module) Annotated(pos token.Position, key string) bool {
-	if m.ann == nil {
-		m.ann = make(map[string]map[int][]string)
-		for _, pkg := range m.Pkgs {
-			for _, f := range pkg.Files {
-				for _, cg := range f.Comments {
-					for _, c := range cg.List {
-						am := annotationRe.FindStringSubmatch(c.Text)
-						if am == nil {
-							continue
-						}
-						at := pkg.Fset.Position(c.Pos())
-						byLine := m.ann[at.Filename]
-						if byLine == nil {
-							byLine = make(map[int][]string)
-							m.ann[at.Filename] = byLine
-						}
-						byLine[at.Line] = append(byLine[at.Line], am[1])
-					}
-				}
-			}
-		}
-	}
-	byLine := m.ann[pos.Filename]
-	for _, line := range []int{pos.Line, pos.Line - 1} {
-		for _, k := range byLine[line] {
-			if k == key {
-				return true
-			}
-		}
-	}
-	return false
 }
 
 // FuncNode is one declared function or method in the module.
@@ -134,6 +93,7 @@ type CallGraph struct {
 	// ordered holds the nodes in deterministic (position) order so
 	// traversals report findings stably.
 	ordered []*FuncNode
+	waivers *waiverIndex
 }
 
 // hotpathRe matches the root marker for reachability analyses:
@@ -144,8 +104,8 @@ type CallGraph struct {
 // waiver, so it lives outside the annotationRe grammar.
 var hotpathRe = regexp.MustCompile(`^//\s*helios:hotpath\b`)
 
-func buildCallGraph(pkgs []*Package) *CallGraph {
-	g := &CallGraph{nodes: make(map[*types.Func]*FuncNode)}
+func buildCallGraph(pkgs []*Package, waivers *waiverIndex) *CallGraph {
+	g := &CallGraph{nodes: make(map[*types.Func]*FuncNode), waivers: waivers}
 	for _, pkg := range pkgs {
 		for _, f := range pkg.Files {
 			for _, decl := range f.Decls {
@@ -249,15 +209,7 @@ func (g *CallGraph) HotpathRoots(pkg *types.Package) []*FuncNode {
 // given //helios:<key> waiver. A waived function is both silenced and a
 // traversal barrier: its callees are vouched for by the waiver's reason.
 func (g *CallGraph) FuncWaived(n *FuncNode, key string) bool {
-	if n.Decl.Doc == nil {
-		return false
-	}
-	for _, c := range n.Decl.Doc.List {
-		if m := annotationRe.FindStringSubmatch(c.Text); m != nil && m[1] == key {
-			return true
-		}
-	}
-	return false
+	return g.waivers.onDoc(n.Decl.Doc, key)
 }
 
 // Reachable walks the graph from the roots, skipping functions waived

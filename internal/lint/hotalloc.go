@@ -76,8 +76,7 @@ type hotChecker struct {
 // reportf files a finding unless the site carries a hotalloc-ok line
 // annotation (checked module-wide: the site may be in another package).
 func (hc *hotChecker) reportf(pos token.Pos, format string, args ...any) {
-	at := hc.node.Pkg.Fset.Position(pos)
-	if hc.pass.Mod.Annotated(at, "hotalloc-ok") {
+	if hc.pass.Annotated(pos, "hotalloc-ok") {
 		return
 	}
 	args = append(args, hc.node.Name())

@@ -22,6 +22,7 @@ import (
 	"go/token"
 	"go/types"
 	"regexp"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -59,8 +60,7 @@ type Pass struct {
 	TypesInfo *types.Info
 	Mod       *Module
 
-	diags       *[]Diagnostic
-	annotations map[string]map[int][]string // filename → line → annotation keys
+	diags *[]Diagnostic
 }
 
 // Reportf records a finding at pos.
@@ -78,71 +78,90 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 //	//helios:param-ok heuristic window, not a machine parameter
 //
 // The key is everything between "helios:" and the first space; a
-// non-empty reason is required (enforced by Annotated's callers via
-// the bare-annotation diagnostic in checkAnnotations).
+// non-empty reason is required (a bare waiver is a finding of its own,
+// reported once by RunAll).
 var annotationRe = regexp.MustCompile(`^//\s*helios:([a-z-]+-ok)\b[ \t]*(.*)$`)
 
-// buildAnnotations indexes every //helios:*-ok comment by file and line.
-func (p *Pass) buildAnnotations() {
-	p.annotations = make(map[string]map[int][]string)
-	for _, f := range p.Files {
-		for _, cg := range f.Comments {
-			for _, c := range cg.List {
-				m := annotationRe.FindStringSubmatch(c.Text)
-				if m == nil {
-					continue
-				}
-				pos := p.Fset.Position(c.Pos())
-				byLine := p.annotations[pos.Filename]
-				if byLine == nil {
-					byLine = make(map[int][]string)
-					p.annotations[pos.Filename] = byLine
-				}
-				byLine[pos.Line] = append(byLine[pos.Line], m[1])
-				if strings.TrimSpace(m[2]) == "" {
-					p.Reportf(c.Pos(), "annotation //helios:%s needs a reason (\"//helios:%s <why>\")", m[1], m[1])
+// waiverIndex holds every //helios:*-ok comment of a module, parsed
+// once when the module is built. Line waivers (Annotated) and function
+// waivers (FuncAnnotated, FuncWaived) are both looked up here, in any
+// package: a cross-package analyzer may report in a package other than
+// the one its pass visits.
+type waiverIndex struct {
+	fset  *token.FileSet
+	lines map[string]map[int][]string // filename → line → waiver keys
+	bare  []Diagnostic                // waivers that give no reason
+}
+
+func indexWaivers(pkgs []*Package) *waiverIndex {
+	w := &waiverIndex{lines: make(map[string]map[int][]string)}
+	for _, pkg := range pkgs {
+		w.fset = pkg.Fset // one FileSet serves every package of a module
+		for _, f := range pkg.Files {
+			for _, cg := range f.Comments {
+				for _, c := range cg.List {
+					m := annotationRe.FindStringSubmatch(c.Text)
+					if m == nil {
+						continue
+					}
+					at := pkg.Fset.Position(c.Pos())
+					byLine := w.lines[at.Filename]
+					if byLine == nil {
+						byLine = make(map[int][]string)
+						w.lines[at.Filename] = byLine
+					}
+					byLine[at.Line] = append(byLine[at.Line], m[1])
+					if strings.TrimSpace(m[2]) == "" {
+						w.bare = append(w.bare, Diagnostic{
+							Pos:      at,
+							Analyzer: "waiver",
+							Message:  fmt.Sprintf("annotation //helios:%s needs a reason (\"//helios:%s <why>\")", m[1], m[1]),
+						})
+					}
 				}
 			}
 		}
 	}
+	return w
+}
+
+// covers reports whether a //helios:<key> comment sits on at's line or
+// on the line directly above (a comment-only line).
+func (w *waiverIndex) covers(at token.Position, key string) bool {
+	byLine := w.lines[at.Filename]
+	return slices.Contains(byLine[at.Line], key) || slices.Contains(byLine[at.Line-1], key)
+}
+
+// onDoc reports whether a line of the doc comment carries a
+// //helios:<key> waiver.
+func (w *waiverIndex) onDoc(doc *ast.CommentGroup, key string) bool {
+	if doc == nil {
+		return false
+	}
+	for _, c := range doc.List {
+		at := w.fset.Position(c.Pos())
+		if slices.Contains(w.lines[at.Filename][at.Line], key) {
+			return true
+		}
+	}
+	return false
 }
 
 // Annotated reports whether pos is covered by a //helios:<key> comment
 // on the same line or the line directly above (a comment-only line).
 func (p *Pass) Annotated(pos token.Pos, key string) bool {
-	if p.annotations == nil {
-		p.buildAnnotations()
-	}
-	at := p.Fset.Position(pos)
-	byLine := p.annotations[at.Filename]
-	for _, line := range []int{at.Line, at.Line - 1} {
-		for _, k := range byLine[line] {
-			if k == key {
-				return true
-			}
-		}
-	}
-	return false
+	return p.Mod.waivers.covers(p.Fset.Position(pos), key)
 }
 
-// FuncAnnotated reports whether the doc comment of the function
-// enclosing pos (or the function's body lines immediately preceding
-// pos) carries the annotation. Used for function-scoped waivers such as
-// the legacy context.Background convenience wrappers.
+// FuncAnnotated reports whether pos, or the doc comment of the function
+// enclosing it, carries the annotation. Used for function-scoped waivers
+// such as the legacy context.Background convenience wrappers.
 func (p *Pass) FuncAnnotated(file *ast.File, pos token.Pos, key string) bool {
 	if p.Annotated(pos, key) {
 		return true
 	}
 	fd := enclosingFuncDecl(file, pos)
-	if fd == nil || fd.Doc == nil {
-		return false
-	}
-	for _, c := range fd.Doc.List {
-		if m := annotationRe.FindStringSubmatch(c.Text); m != nil && m[1] == key {
-			return true
-		}
-	}
-	return false
+	return fd != nil && p.Mod.waivers.onDoc(fd.Doc, key)
 }
 
 // enclosingFuncDecl returns the top-level function declaration whose
@@ -227,10 +246,11 @@ func runIn(a *Analyzer, pkg *Package, mod *Module) ([]Diagnostic, error) {
 // one Module, so cross-package analyzers can chase calls from any pass
 // into any other loaded package (reporting at the callee's position).
 // Cross-package findings are deduplicated: two root packages reaching
-// the same offending line produce one diagnostic.
+// the same offending line produce one diagnostic. Every bare waiver in
+// the module is reported once, under the name "waiver".
 func RunAll(analyzers []*Analyzer, pkgs []*Package) ([]Diagnostic, error) {
 	mod := NewModule(pkgs)
-	var all []Diagnostic
+	all := slices.Clone(mod.waivers.bare)
 	seen := make(map[Diagnostic]bool)
 	for _, pkg := range pkgs {
 		for _, a := range analyzers {

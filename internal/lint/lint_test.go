@@ -1,7 +1,10 @@
 package lint_test
 
 import (
+	"fmt"
+	"path/filepath"
 	"slices"
+	"strings"
 	"testing"
 
 	"helios/internal/lint"
@@ -77,5 +80,63 @@ func TestRegistryComplete(t *testing.T) {
 	}
 	if !slices.Equal(names, want) {
 		t.Errorf("registry = %v\nwant       %v", names, want)
+	}
+}
+
+// TestBareWaiversFlaggedOnce: a waiver with no reason is a finding in
+// every package, once. quiet has nothing any analyzer inspects, so no
+// pass would look up its waiver; core's two waivers are each looked up
+// by a different analyzer (simdeterminism and goroutinelife).
+func TestBareWaiversFlaggedOnce(t *testing.T) {
+	dir := writeTree(t, map[string]string{
+		"go.mod": "module waivertest\n\ngo 1.22\n",
+		"quiet/quiet.go": `package quiet
+
+// Sum has a waiver that no analyzer consults.
+func Sum(xs []int) int {
+	n := 0
+	//helios:hotalloc-ok
+	for _, x := range xs {
+		n += x
+	}
+	return n
+}
+`,
+		"core/core.go": `package core
+
+import "time"
+
+// Stamp reads the wall clock under a bare waiver.
+func Stamp() int64 {
+	//helios:nondeterminism-ok
+	return time.Now().UnixNano()
+}
+
+// Spawn starts a goroutine under a bare waiver.
+func Spawn() {
+	//helios:goroutinelife-ok
+	go func() {}()
+}
+`,
+	})
+	pkgs, err := lint.Load(dir)
+	if err != nil {
+		t.Fatalf("Load: %v", err)
+	}
+	diags, err := lint.RunAll(lint.Registry(), pkgs)
+	if err != nil {
+		t.Fatalf("RunAll: %v", err)
+	}
+	var got []string
+	for _, d := range diags {
+		got = append(got, fmt.Sprintf("%s:%d %s: %s", filepath.Base(d.Pos.Filename), d.Pos.Line, d.Analyzer, d.Message))
+	}
+	want := []string{
+		`core.go:7 waiver: annotation //helios:nondeterminism-ok needs a reason ("//helios:nondeterminism-ok <why>")`,
+		`core.go:13 waiver: annotation //helios:goroutinelife-ok needs a reason ("//helios:goroutinelife-ok <why>")`,
+		`quiet.go:6 waiver: annotation //helios:hotalloc-ok needs a reason ("//helios:hotalloc-ok <why>")`,
+	}
+	if !slices.Equal(got, want) {
+		t.Errorf("findings:\n  %s\nwant:\n  %s", strings.Join(got, "\n  "), strings.Join(want, "\n  "))
 	}
 }

@@ -146,7 +146,7 @@ func (p *Pipeline) accountCommit(u *pUop) {
 			p.st.FusedIdiom++
 		}
 	case uop.FuseLoadPair, uop.FuseStorePair:
-		consecutive := u.pairDistance == 1
+		consecutive := u.pair.Consecutive()
 		switch {
 		case u.kind == uop.FuseLoadPair && consecutive:
 			p.st.CSFLoadPairs++
@@ -158,15 +158,15 @@ func (p *Pipeline) accountCommit(u *pUop) {
 			p.st.NCSFStorePairs++
 		}
 		if !consecutive {
-			p.st.DistanceSum += uint64(u.pairDistance)
+			p.st.DistanceSum += uint64(u.pair.Distance)
 		}
-		if !u.pairSameBase {
+		if !u.pair.SameBase {
 			p.st.DBRPairs++
 		}
-		if !u.pairSymmetric {
+		if !u.pair.Symmetric {
 			p.st.AsymmetricPairs++
 		}
-		p.st.PairsByCategory[u.pairCat]++
+		p.st.PairsByCategory[u.pair.Category]++
 	}
 }
 

@@ -229,7 +229,7 @@ func (p *Pipeline) issue(u *pUop) {
 	// Region check for predictively fused pairs (repair case 5): the two
 	// accesses span more than a cache-line-sized region, which the
 	// hardware only discovers once both addresses are computed.
-	if u.kind.IsMemory() && !u.unfused && u.isNCSF && !u.pairCat.Fuseable() {
+	if u.kind.IsMemory() && !u.unfused && u.isNCSF && !u.pair.Category.Fuseable() {
 		p.handleFusionMispredict(u)
 		// Fall through: the head issues as a single access below.
 	}

@@ -180,8 +180,10 @@ func filterLive(q []*pUop, from uint64) []*pUop {
 }
 
 // unfuseInPlace reverts a fused µ-op to a single access after it renamed:
-// the tail's work is given up (the tail will be re-fetched) and its
-// resources released. The head keeps its own access.
+// the tail's work is given up and its resources released. The head keeps
+// its own access. It is the one unfuse path: a flush or a failed region
+// check re-fetches the tail, and a pair rejected at rename leaves its
+// tail nucleus to rename as an ordinary µ-op.
 func (p *Pipeline) unfuseInPlace(u *pUop) {
 	if u.unfused {
 		return
@@ -204,7 +206,8 @@ func (p *Pipeline) unfuseInPlace(u *pUop) {
 		u.numDst--
 	}
 	// Retract the tail's source slots: they sit above the head's own
-	// sources (placed in the low slots at rename) and may name physical
+	// sources (placed in the low slots at rename). Before the tail
+	// validates they are still reserved; after, they may name physical
 	// registers belonging to flushed catalyst µ-ops. A consecutive pair's
 	// sources were all resolved against a current RAT and are kept.
 	if u.isNCSF {

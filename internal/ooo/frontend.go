@@ -189,12 +189,9 @@ func (p *Pipeline) tryFusePair(a, b *pUop) bool {
 		}
 	}
 	if mode.ConsecutiveMemPairs() && !mode.OraclePairs() {
-		if id, ok := fusion.MatchMemPair(a.r.Inst, b.r.Inst, mode.AsymmetricPairs()); ok {
-			p.absorbTail(a, b, id.Kind())
-			a.pairCat = uop.Classify(a.r.EA, a.r.MemSize, b.r.EA, b.r.MemSize, p.cfg.PairCfg.LineSize)
-			a.pairDistance = 1
-			a.pairSameBase = true
-			a.pairSymmetric = a.r.MemSize == b.r.MemSize
+		if _, ok := fusion.MatchMemPair(a.r.Inst, b.r.Inst); ok {
+			a.pair = fusion.Pair(&a.r, &b.r, p.cfg.PairCfg.LineSize)
+			p.absorbTail(a, b, a.pair.Kind)
 			return true
 		}
 	}
@@ -255,13 +252,10 @@ func (p *Pipeline) markOraclePairs(group []*pUop) {
 		if head == nil || !p.headEligible(head, u) {
 			continue
 		}
-		if pairing.Distance == 1 {
+		if pairing.Consecutive() {
 			// Consecutive: fuse immediately, the tail vanishes.
+			head.pair = pairing
 			p.absorbTail(head, u, pairing.Kind)
-			head.pairCat = pairing.Category
-			head.pairDistance = 1
-			head.pairSameBase = pairing.SameBase
-			head.pairSymmetric = pairing.Symmetric
 			continue
 		}
 		p.establishNCSF(head, u, helios.Prediction{}, false)
@@ -285,26 +279,13 @@ func (p *Pipeline) findFusionHead(seq uint64, group []*pUop) *pUop {
 }
 
 // headEligible checks the AQ-time fusion conditions (Section IV-A2):
-// same µ-op type, head not already fused and not part of another pair.
+// head not already fused and not part of another pair, and the two
+// accesses an eligible pair.
 func (p *Pipeline) headEligible(head, tail *pUop) bool {
-	if head == tail || head.st == stKilled {
+	if head == tail || head.st == stKilled || head.kind != uop.FuseNone || head.isTailNucleus {
 		return false
 	}
-	if head.kind != uop.FuseNone || head.isTailNucleus {
-		return false
-	}
-	if head.r.MemSize == 0 {
-		return false
-	}
-	if head.r.IsLoad() != tail.r.IsLoad() {
-		return false
-	}
-	// Store pairs must share the architectural base register (DBR store
-	// fusion is not supported).
-	if head.r.IsStore() && head.r.Inst.Rs1 != tail.r.Inst.Rs1 {
-		return false
-	}
-	return true
+	return fusion.Eligible(head.r.Inst, tail.r.Inst)
 }
 
 // establishNCSF links head and tail as a speculative non-consecutive pair.
@@ -312,21 +293,14 @@ func (p *Pipeline) headEligible(head, tail *pUop) bool {
 // flows to Rename to validate it.
 func (p *Pipeline) establishNCSF(head, tail *pUop, pred helios.Prediction, usedPred bool) {
 	head.tailStorage = tail.r
-	rec := head.tailStorage
-	head.kind = uop.FuseLoadPair
-	if head.r.IsStore() {
-		head.kind = uop.FuseStorePair
-	}
+	head.pair = fusion.Pair(&head.r, &tail.r, p.cfg.PairCfg.LineSize)
+	head.kind = head.pair.Kind
 	head.tailR = &head.tailStorage
 	head.isNCSF = true
 	head.validated = false
 	head.pred = pred
 	head.usedPred = usedPred
 	head.predGhr = tail.ghr
-	head.pairCat = uop.Classify(head.r.EA, head.r.MemSize, rec.EA, rec.MemSize, p.cfg.PairCfg.LineSize)
-	head.pairDistance = int(tail.seq - head.seq)
-	head.pairSameBase = head.r.Inst.Rs1 == rec.Inst.Rs1
-	head.pairSymmetric = head.r.MemSize == rec.MemSize
 	tail.isTailNucleus = true
 	tail.headUop = head
 	tail.headGen = head.gen

@@ -35,8 +35,8 @@ func (p *Pipeline) obsEmit(u *pUop, retired bool) {
 		ev.Fused = u.kind.String()
 		ev.TailSeq = u.tailR.Seq
 		ev.TailPC = u.tailR.PC
-		ev.PairDistance = u.pairDistance
-		ev.PairCategory = u.pairCat.String()
+		ev.PairDistance = u.pair.Distance
+		ev.PairCategory = u.pair.Category.String()
 		ev.Predicted = u.usedPred
 		ev.Unfused = u.unfused
 	}

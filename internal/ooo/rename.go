@@ -1,7 +1,6 @@
 package ooo
 
 import (
-	"helios/internal/emu"
 	"helios/internal/fusion"
 	"helios/internal/isa"
 	"helios/internal/stats"
@@ -119,12 +118,7 @@ func (p *Pipeline) breakNCSFDeadlock() {
 	if h == nil || !h.isNCSF || h.validated || h.unfused || h.st != stDispatched {
 		return
 	}
-	p.st.UnfusedAtRename++
-	p.st.UnfuseReasons[0]++ // structural (window) bucket
-	if h.usedPred && p.fp != nil && h.tailR != nil {
-		p.fp.Mispredict(h.tailR.PC, h.predGhr, h.pred)
-	}
-	p.unfuseAtRename(h, nil)
+	p.rejectPair(h, fusion.UnfuseWindow)
 }
 
 // processTailNucleus handles a tail nucleus reaching Rename. It validates
@@ -150,33 +144,8 @@ func (p *Pipeline) processTailNucleus(u *pUop, slots int) (int, stats.TDBucket, 
 		return slots, 0, false
 	}
 
-	span := p.span(head.seq, u.seq)
-	reason := -1
-	switch {
-	case span == nil:
-		reason = 0 // window
-	case fusion.CatalystHasSerializing(span):
-		reason = 1
-	case head.isStore() && fusion.CatalystHasStore(span):
-		reason = 2
-	case head.isStore() && catalystWritesReg(span, head.r.Inst.Rs1):
-		// The tail's base value differs from the head's: a DBR store
-		// pair, which Helios does not support (it would need a fourth
-		// source register, Section IV-B).
-		reason = 3
-	case head.isLoad() && fusion.TailDependsOnHead(span):
-		reason = 4 // deadlock
-	}
-	if reason >= 0 {
-		p.st.UnfuseReasons[reason]++
-		p.st.UnfusedAtRename++
-		// Resetting the FP entry's confidence lets the predictor abandon
-		// structurally illegal pairings and rediscover a legal partner
-		// through the UCH, rather than re-proposing the same pair forever.
-		if head.usedPred && p.fp != nil && head.tailR != nil {
-			p.fp.Mispredict(head.tailR.PC, head.predGhr, head.pred)
-		}
-		p.unfuseAtRename(head, u)
+	if reason, unfuse := fusion.CheckCatalyst(p.span(head.seq, u.seq)); unfuse {
+		p.rejectPair(head, reason)
 		// The tail becomes an ordinary µ-op; the fix-up consumed a slot.
 		u.isTailNucleus = false
 		u.headUop = nil
@@ -194,16 +163,6 @@ func (p *Pipeline) processTailNucleus(u *pUop, slots int) (int, stats.TDBucket, 
 	p.aq.pop()
 	p.arena.release(u) // never dispatched: the AQ held the last reference
 	return slots - 1, stats.TDFusedRetiring, true
-}
-
-// catalystWritesReg reports whether any catalyst instruction writes r.
-func catalystWritesReg(span []emu.Retired, r isa.Reg) bool {
-	for _, rec := range span[1 : len(span)-1] {
-		if rec.Inst.WritesReg(r) {
-			return true
-		}
-	}
-	return false
 }
 
 // cancelNCSF reverts a speculative NCSF pairing before the head renamed.
@@ -420,32 +379,18 @@ func (p *Pipeline) finishTailDest(head, tail *pUop) {
 	}
 }
 
-// unfuseAtRename undoes a pending NCSF'd µ-op in place: the head reverts
-// to a single access, reserved tail resources are released.
-func (p *Pipeline) unfuseAtRename(head, tail *pUop) {
-	head.unfused = true
-	head.validated = true
-	// The head now retires one instruction, not two: its dispatch slot
-	// moves from fused-retiring back to plain retiring.
-	if head.tdBucket == int8(stats.TDFusedRetiring) {
-		p.tdReclassify(head, stats.TDRetiring)
+// rejectPair gives up a pending NCSF'd µ-op that rename cannot
+// validate: it counts the reason and resets the FP entry that proposed
+// the pair, which lets the predictor abandon a structurally illegal
+// pairing and rediscover a legal partner through the UCH rather than
+// re-proposing the same pair forever. The head then unfuses in place.
+func (p *Pipeline) rejectPair(head *pUop, reason fusion.UnfuseReason) {
+	p.st.UnfusedAtRename++
+	p.st.UnfuseReasons[reason]++
+	if head.usedPred && p.fp != nil && head.tailR != nil {
+		p.fp.Mispredict(head.tailR.PC, head.predGhr, head.pred)
 	}
-	p.removePendingNCSF(head)
-	// Release the tail's physical destination (it was never in the RAT).
-	if head.numDst > 1 {
-		slot := int(head.numDst) - 1
-		preg := head.dstPhys[slot]
-		p.regReady[preg] = true
-		p.freeList = append(p.freeList, preg)
-		head.dstPhys[slot] = invalidReg
-		head.numDst--
-	}
-	// Drop reserved tail source slots.
-	for slot := 0; slot < int(head.numSrc); slot++ {
-		if head.srcPhys[slot] == srcPending {
-			head.srcPhys[slot] = invalidReg
-		}
-	}
+	p.unfuseInPlace(head)
 }
 
 func (p *Pipeline) removePendingNCSF(head *pUop) {

@@ -60,7 +60,7 @@ loop:
 	ecall
 	`
 	st, _ := runBoth(t, src, DefaultConfig(fusion.ModeHelios), 100_000)
-	if st.UnfuseReasons[4] == 0 {
+	if st.UnfuseReasons[fusion.UnfuseDeadlock] == 0 {
 		t.Errorf("no deadlock unfuses recorded: %+v reasons=%v", st.UnfusedAtRename, st.UnfuseReasons)
 	}
 	if st.NCSFLoadPairs > 0 {
@@ -92,7 +92,7 @@ loop:
 	ecall
 	`
 	st, _ := runBoth(t, src, DefaultConfig(fusion.ModeHelios), 100_000)
-	if st.UnfuseReasons[1] == 0 {
+	if st.UnfuseReasons[fusion.UnfuseSerializing] == 0 {
 		t.Errorf("no serializing unfuses recorded: reasons=%v", st.UnfuseReasons)
 	}
 	if st.NCSFLoadPairs > 0 {
@@ -139,11 +139,50 @@ join:
 	ecall
 	`
 	st, _ := runBoth(t, src, DefaultConfig(fusion.ModeHelios), 100_000)
-	if st.UnfuseReasons[2] == 0 {
+	if st.UnfuseReasons[fusion.UnfuseStore] == 0 {
 		t.Errorf("no store-in-catalyst unfuses recorded: reasons=%v", st.UnfuseReasons)
 	}
 	if st.NCSFStorePairs == 0 {
 		t.Error("clean iterations should still fuse store pairs")
+	}
+}
+
+// Case: a store pair whose catalyst rewrites the base register. The two
+// stores share a line, so the UCH trains the pair, but between them the
+// base register moves: the tail's base value is not the head's, and
+// Rename must unfuse every prediction. The pair across iterations has
+// its base recomputed in the catalyst too, so no store pair may fuse.
+func TestRepairBaseRewriteUnfuse(t *testing.T) {
+	src := `
+	.data
+	.align 6
+buf:
+	.zero 4096
+	.text
+_start:
+	la s6, buf
+	li s1, 4000
+	li s4, 0
+	li s7, 4032
+loop:
+	add s0, s6, s4
+	sd s1, 0(s0)
+	addi s0, s0, 8   # the catalyst rewrites the base register
+	sd s1, 0(s0)     # same line as the first store
+	addi s4, s4, 64
+	and s4, s4, s7
+	addi s1, s1, -1
+	bnez s1, loop
+	li a7, 93
+	li a0, 0
+	ecall
+	`
+	st, _ := runBoth(t, src, DefaultConfig(fusion.ModeHelios), 100_000)
+	if st.UnfuseReasons[fusion.UnfuseBaseRewrite] == 0 {
+		t.Errorf("no base-rewrite unfuses recorded: reasons=%v", st.UnfuseReasons)
+	}
+	if n := st.CSFStorePairs + st.NCSFStorePairs; n > 0 {
+		t.Errorf("%d store pairs fused across a base rewrite", n)
 	}
 }
 

@@ -1,6 +1,9 @@
 package ooo
 
-import "helios/internal/stats"
+import (
+	"helios/internal/fusion"
+	"helios/internal/stats"
+)
 
 // Stats accumulates everything the evaluation needs: IPC inputs, per-kind
 // fusion counts (Figures 2, 8), structural stall attribution (Figure 9),
@@ -21,11 +24,11 @@ type Stats struct {
 	NCSFStorePairs  uint64
 	DBRPairs        uint64 // pairs with different architectural base registers
 	AsymmetricPairs uint64
-	PairsByCategory [6]uint64 // uop.AddrCategory of committed pairs
-	DistanceSum     uint64    // head→tail distances of committed NCSF pairs
-	UnfusedAtRename uint64    // NCSF undone: deadlock/serializing/store-in-catalyst
-	UnfuseReasons   [5]uint64 // window, serializing, store-in-catalyst, dbr-store, deadlock
-	NestLimitDrops  uint64    // NCSF abandoned: nesting level saturated
+	PairsByCategory [6]uint64                       // uop.AddrCategory of committed pairs
+	DistanceSum     uint64                          // head→tail distances of committed NCSF pairs
+	UnfusedAtRename uint64                          // NCSF undone at rename, for any reason
+	UnfuseReasons   [fusion.NumUnfuseReasons]uint64 // indexed by fusion.UnfuseReason
+	NestLimitDrops  uint64                          // NCSF abandoned: nesting level saturated
 
 	// Helios predictor quality.
 	FusionPredictions uint64 // confident FP predictions acted upon

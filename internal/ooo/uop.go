@@ -2,6 +2,7 @@ package ooo
 
 import (
 	"helios/internal/emu"
+	"helios/internal/fusion"
 	"helios/internal/helios"
 	"helios/internal/uop"
 )
@@ -44,24 +45,21 @@ type pUop struct {
 	isNCSF      bool         // fused non-consecutively: needs validation
 	validated   bool         // NCSF'd µ-op may issue (NCS Ready)
 	unfused     bool         // NCSF fusion was undone at rename
+	usedPred    bool         // fusion came from the FP (Helios) and must update it
 	pred        helios.Prediction
-	usedPred    bool   // fusion came from the FP (Helios) and must update it
 	predGhr     uint64 // tail's decode-time GHR, for FP updates
 
-	// Pair attributes recorded at fuse time (for stats and the region
-	// check at execute).
-	pairCat       uop.AddrCategory
-	pairDistance  int
-	pairSameBase  bool
-	pairSymmetric bool
+	// The memory pair's attributes, from fusion.Pair at fuse time (for
+	// stats and the region check at execute); zero for idioms.
+	pair fusion.Pairing
 
 	// Tail-nucleus role (the tail object still flows to Rename for NCSF).
 	// headGen snapshots the head's generation at link time: a head that
 	// was released and recycled while the tail still pointed at it fails
 	// the check and the pairing is treated as cancelled.
-	isTailNucleus bool
 	headUop       *pUop // for a tail nucleus: its head
 	headGen       uint32
+	isTailNucleus bool
 
 	// Renamed registers. Fused µ-ops use up to 3 sources and 2 dests.
 	srcPhys  [3]int32

@@ -76,10 +76,6 @@ func (c AddrCategory) Fuseable() bool {
 	return c == AddrOverlapping || c == AddrContiguous || c == AddrSameLine || c == AddrNextLine
 }
 
-// ArchFuseable reports whether the category would be expressible as an
-// architectural pair instruction (Armv8 ldp/stp requires exact contiguity).
-func (c AddrCategory) ArchFuseable() bool { return c == AddrContiguous }
-
 // Classify determines the address category of two accesses
 // [ea1, ea1+sz1) and [ea2, ea2+sz2) for the given cache line size.
 func Classify(ea1 uint64, sz1 uint8, ea2 uint64, sz2 uint8, lineSize uint64) AddrCategory {
@@ -133,19 +129,6 @@ func CombinedRange(ea1 uint64, sz1 uint8, ea2 uint64, sz2 uint8) (lo, span uint6
 		hi = end2
 	}
 	return lo, hi - lo
-}
-
-// Sources returns the architectural source registers of the instruction,
-// excluding x0 (which is not a true dependency).
-func Sources(i isa.Inst) []isa.Reg {
-	var out []isa.Reg
-	if i.Op.HasRs1() && i.Rs1 != isa.Zero {
-		out = append(out, i.Rs1)
-	}
-	if i.Op.HasRs2() && i.Rs2 != isa.Zero {
-		out = append(out, i.Rs2)
-	}
-	return out
 }
 
 // Dest returns the architectural destination register, if the instruction

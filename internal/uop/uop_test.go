@@ -94,27 +94,18 @@ func TestCrossesLine(t *testing.T) {
 	}
 }
 
-func TestSourcesAndDest(t *testing.T) {
+func TestDest(t *testing.T) {
 	add := isa.Inst{Op: isa.OpADD, Rd: isa.A0, Rs1: isa.A1, Rs2: isa.A2}
-	if s := Sources(add); len(s) != 2 || s[0] != isa.A1 || s[1] != isa.A2 {
-		t.Errorf("Sources(add) = %v", s)
-	}
 	if d, ok := Dest(add); !ok || d != isa.A0 {
 		t.Errorf("Dest(add) = %v, %v", d, ok)
 	}
-	// x0 never appears.
+	// Writes to x0 do not count.
 	addz := isa.Inst{Op: isa.OpADD, Rd: isa.Zero, Rs1: isa.Zero, Rs2: isa.A2}
-	if s := Sources(addz); len(s) != 1 || s[0] != isa.A2 {
-		t.Errorf("Sources with x0 = %v", s)
-	}
 	if _, ok := Dest(addz); ok {
 		t.Error("Dest(x0) should not count")
 	}
-	// Stores have two sources and no destination.
+	// Stores have no destination.
 	sd := isa.Inst{Op: isa.OpSD, Rs1: isa.SP, Rs2: isa.A0}
-	if s := Sources(sd); len(s) != 2 {
-		t.Errorf("Sources(sd) = %v", s)
-	}
 	if _, ok := Dest(sd); ok {
 		t.Error("stores have no destination")
 	}
@@ -130,17 +121,6 @@ func TestFuseKind(t *testing.T) {
 	for _, k := range []FuseKind{FuseNone, FuseIdiom, FuseLoadPair, FuseStorePair} {
 		if k.String() == "?" {
 			t.Errorf("missing String for %d", k)
-		}
-	}
-}
-
-func TestArchFuseable(t *testing.T) {
-	if !AddrContiguous.ArchFuseable() {
-		t.Error("contiguous must be architecturally fuseable")
-	}
-	for _, c := range []AddrCategory{AddrOverlapping, AddrSameLine, AddrNextLine, AddrTooFar} {
-		if c.ArchFuseable() {
-			t.Errorf("%v must not be architecturally fuseable", c)
 		}
 	}
 }
