@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build lint test race soak fuzz-short experiments-smoke obs-smoke report-smoke bench-smoke heliosbench-test serve-smoke telemetry-smoke
+.PHONY: all build lint test race soak fuzz-short experiments-smoke obs-smoke report-smoke bench-smoke heliosbench-test bench-digests serve-smoke telemetry-smoke
 
 all: build lint test
 
@@ -57,6 +57,19 @@ bench-smoke:
 # internal API change that would break the benchmark pipeline.
 heliosbench-test:
 	cd heliosbench && $(GO) vet . && $(GO) test .
+
+# Matches the CI bench-smoke job's digest step: heliosbench's
+# paper-suite and observed-replay passes at default budgets check the
+# golden SHA-256s of every table, every cell's ooo.Stats and every obs
+# stream. heliosbench exits 0 either way and prints its verdict, so
+# this fails unless each result line says "correct":true (~35 s).
+bench-digests:
+	@for w in paper-suite observed-replay; do \
+		out=$$(bash heliosbench/run.sh --workload $$w --seed 1 --seconds 1 --trace 0) || exit 1; \
+		line=$$(printf '%s\n' "$$out" | tail -n 1); \
+		echo "$$w: $$line"; \
+		case "$$line" in *'"correct":true'*) ;; *) echo "$$w: digest check failed"; exit 1 ;; esac; \
+	done
 
 # Matches the CI heliosd-smoke job: build heliosd + heliosctl, drive
 # every endpoint plus the hostile-input taxonomy, SIGTERM mid-flight,

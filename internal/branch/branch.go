@@ -1,18 +1,8 @@
 // Package branch implements the control-flow prediction structures used by
 // the pipeline model: a TAGE conditional branch predictor (the paper's
-// baseline uses L-TAGE), a branch target buffer, a return address stack,
-// and the simpler bimodal/gshare predictors that also serve as building
-// blocks for the Helios fusion predictor's tournament organisation.
+// baseline uses L-TAGE) over a bimodal base, a branch target buffer, and
+// a return address stack.
 package branch
-
-// DirectionPredictor predicts conditional branch directions.
-type DirectionPredictor interface {
-	// Predict returns the predicted direction for the branch at pc given
-	// the current global history.
-	Predict(pc uint64, ghr uint64) bool
-	// Update trains the predictor with the resolved direction.
-	Update(pc uint64, ghr uint64, taken bool)
-}
 
 // counter2 is a 2-bit saturating counter; values 0..3, taken when >= 2.
 type counter2 uint8
@@ -57,49 +47,15 @@ func NewBimodal(logSize uint) *Bimodal {
 	return &Bimodal{table: t, mask: n - 1}
 }
 
-// Predict implements DirectionPredictor.
+// Predict returns the predicted direction of the branch at pc.
 func (b *Bimodal) Predict(pc uint64, _ uint64) bool {
 	return b.table[(pc>>2)&b.mask].taken()
 }
 
-// Update implements DirectionPredictor.
+// Update trains the branch's counter with the resolved direction.
 func (b *Bimodal) Update(pc uint64, _ uint64, taken bool) {
 	i := (pc >> 2) & b.mask
 	b.table[i] = b.table[i].update(taken)
-}
-
-// Gshare XORs folded global history into the PC index.
-type Gshare struct {
-	table   []counter2
-	mask    uint64
-	histLen uint
-}
-
-// NewGshare creates a gshare predictor with 2^logSize entries using
-// histLen bits of global history.
-func NewGshare(logSize, histLen uint) *Gshare {
-	n := uint64(1) << logSize
-	t := make([]counter2, n)
-	for i := range t {
-		t[i] = 2
-	}
-	return &Gshare{table: t, mask: n - 1, histLen: histLen}
-}
-
-func (g *Gshare) index(pc, ghr uint64) uint64 {
-	h := ghr & (1<<g.histLen - 1)
-	return ((pc >> 2) ^ h) & g.mask
-}
-
-// Predict implements DirectionPredictor.
-func (g *Gshare) Predict(pc, ghr uint64) bool {
-	return g.table[g.index(pc, ghr)].taken()
-}
-
-// Update implements DirectionPredictor.
-func (g *Gshare) Update(pc, ghr uint64, taken bool) {
-	i := g.index(pc, ghr)
-	g.table[i] = g.table[i].update(taken)
 }
 
 // History maintains the speculative global branch history register.

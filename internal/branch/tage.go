@@ -71,7 +71,8 @@ func (c *tageComponent) tag(pc, ghr uint64) uint16 {
 	return uint16(((pc >> 2) ^ foldHistory(ghr, c.histLen, 8) ^ foldHistory(ghr, c.histLen, 7)<<1) & 0xff)
 }
 
-// Predict implements DirectionPredictor.
+// Predict returns the predicted direction of the branch at pc under the
+// global history ghr.
 func (t *TAGE) Predict(pc, ghr uint64) bool {
 	pred, _, _ := t.predict(pc, ghr)
 	return pred
@@ -106,7 +107,7 @@ func (t *TAGE) predict(pc, ghr uint64) (pred bool, provider int, altPred bool) {
 	return altPred, provider, altPred
 }
 
-// Update implements DirectionPredictor.
+// Update trains the predictor with the branch's resolved direction.
 func (t *TAGE) Update(pc, ghr uint64, taken bool) {
 	pred, provider, altPred := t.predict(pc, ghr)
 

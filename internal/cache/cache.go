@@ -49,9 +49,6 @@ func NewLevel(cfg LevelConfig, next *Level, memLat int) *Level {
 	}
 }
 
-// Config returns the level's configuration.
-func (l *Level) Config() LevelConfig { return l.cfg }
-
 func (l *Level) set(lineAddr uint64) []line {
 	idx := int(lineAddr % uint64(l.cfg.Sets))
 	return l.lines[idx*l.cfg.Ways : (idx+1)*l.cfg.Ways]
@@ -179,20 +176,11 @@ func New(cfg Config) *Hierarchy {
 	}
 }
 
-// LineSize returns the cache line size in bytes.
-func (h *Hierarchy) LineSize() uint64 { return h.cfg.LineSize }
-
 // L1D exposes the data cache level (for stats).
 func (h *Hierarchy) L1D() *Level { return h.l1d }
 
 // L1I exposes the instruction cache level (for stats).
 func (h *Hierarchy) L1I() *Level { return h.l1i }
-
-// L2 exposes the unified second level (for stats).
-func (h *Hierarchy) L2() *Level { return h.l2 }
-
-// LLC exposes the last-level cache (for stats).
-func (h *Hierarchy) LLC() *Level { return h.llc }
 
 // Counters is a value snapshot of the hierarchy's hit/miss counts, the
 // shape the interval sampler consumes (building one allocates nothing).

@@ -151,8 +151,8 @@ type Metrics struct {
 	EmuTime time.Duration // wall time in functional emulation (recording)
 	SimTime time.Duration // wall time in cycle-level simulation
 
-	// FanoutWall is the elapsed wall time spent inside RunCells fan-outs;
-	// CellWalls holds the per-cell wall times in scheduling (input) order.
+	// FanoutWall is the elapsed wall time of the latest RunCells fan-out;
+	// CellWalls holds its per-cell wall times in scheduling (input) order.
 	// With workers > 1 the cell walls sum to more than FanoutWall — the
 	// ratio is the scheduler's realized speedup.
 	FanoutWall time.Duration
@@ -173,9 +173,9 @@ func (m Metrics) Rows() [][2]string {
 }
 
 // WallRows returns the wall-time measurements as label/value pairs:
-// phase totals, then — when a scheduler fan-out ran — the elapsed
-// fan-out time, the serial-equivalent sum of per-cell walls, the
-// realized speedup, and each cell's wall in scheduling order. Values
+// phase totals, then — when a scheduler fan-out ran — the latest
+// fan-out's elapsed time, the serial-equivalent sum of its per-cell
+// walls, the realized speedup, and each cell's wall in scheduling order. Values
 // are nondeterministic by nature; the row set and order are not.
 func (m Metrics) WallRows() [][2]string {
 	rows := [][2]string{

@@ -106,13 +106,16 @@ func (s *Suite) RunCells(ctx context.Context, cells []Cell, workers int) []CellR
 
 	// Wall accounting happens after the barrier, in input order, so the
 	// CellWalls slice has a deterministic order even though its values
-	// are wall-clock measurements.
-	s.mu.Lock()
-	s.metrics.FanoutWall += elapsed
-	for _, cr := range out {
-		s.metrics.CellWalls = append(s.metrics.CellWalls,
-			CellWall{Workload: cr.Cell.Workload, Mode: cr.Cell.Mode, Wall: cr.Wall})
+	// are wall-clock measurements. It replaces the previous fan-out's: a
+	// long-lived suite (heliosd) fans out once per request, and an
+	// accumulating log would grow without bound.
+	walls := make([]CellWall, len(out))
+	for i, cr := range out {
+		walls[i] = CellWall{Workload: cr.Cell.Workload, Mode: cr.Cell.Mode, Wall: cr.Wall}
 	}
+	s.mu.Lock()
+	s.metrics.FanoutWall = elapsed
+	s.metrics.CellWalls = walls
 	s.mu.Unlock()
 	return out
 }

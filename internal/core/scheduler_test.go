@@ -97,6 +97,39 @@ func TestRunCellsDeterministicMetrics(t *testing.T) {
 	}
 }
 
+// TestCellWallsDescribeLatestFanout checks that the wall log is bounded
+// by one fan-out: after two RunCells calls on one suite, CellWalls holds
+// exactly the second call's cells in input order, and FanoutWall is the
+// second call's elapsed time, not a running sum. The second call's cells
+// are cached by the first, so its fan-out is far shorter than the first.
+func TestCellWallsDescribeLatestFanout(t *testing.T) {
+	s := NewSuite(20_000)
+	first := []Cell{
+		{Workload: "crc32", Mode: fusion.ModeNoFusion},
+		{Workload: "crc32", Mode: fusion.ModeHelios},
+		{Workload: "sha", Mode: fusion.ModeNoFusion},
+	}
+	s.RunCells(context.Background(), first, 2)
+	firstWall := s.Metrics().FanoutWall
+
+	second := []Cell{first[2], first[0]}
+	s.RunCells(context.Background(), second, 2)
+	m := s.Metrics()
+	if len(m.CellWalls) != len(second) {
+		t.Fatalf("CellWalls holds %d cells after fan-outs of %d and %d, want the latest %d",
+			len(m.CellWalls), len(first), len(second), len(second))
+	}
+	for i, cw := range m.CellWalls {
+		if (Cell{Workload: cw.Workload, Mode: cw.Mode}) != second[i] {
+			t.Errorf("CellWalls[%d] = %s/%v, want %s/%v", i, cw.Workload, cw.Mode, second[i].Workload, second[i].Mode)
+		}
+	}
+	if m.FanoutWall >= firstWall {
+		t.Errorf("FanoutWall = %v after a cached fan-out, first fan-out took %v: want the latest fan-out's time, not a sum",
+			m.FanoutWall, firstWall)
+	}
+}
+
 // TestRunCellsCancellation checks that a dead context stops the fan-out:
 // cells that were not started carry the context error and nothing is
 // cached for them.

@@ -81,19 +81,6 @@ func TestUCHInvalidateStore(t *testing.T) {
 	}
 }
 
-func TestUCHReset(t *testing.T) {
-	u := NewUCH()
-	u.ObserveLoad(0x10, 0)
-	u.ObserveStore(0x20, 1)
-	u.Reset()
-	if _, found := u.ObserveLoad(0x10, 2); found {
-		t.Error("reset did not clear loads")
-	}
-	if _, found := u.ObserveStore(0x20, 3); found {
-		t.Error("reset did not clear stores")
-	}
-}
-
 func TestFPTrainToConfidence(t *testing.T) {
 	f := NewFP()
 	pc, ghr := uint64(0x1000), uint64(0)

@@ -112,11 +112,3 @@ func (u *UCH) ObserveStore(lineAddr uint64, seq uint64) (distance int, found boo
 // the "no store in catalyst" rule intact: the last unfused committed store
 // is only valid if no other store committed since.
 func (u *UCH) InvalidateStore() { u.store.valid = false }
-
-// Reset clears both histories (pipeline flush).
-func (u *UCH) Reset() {
-	for i := range u.loads {
-		u.loads[i] = uchEntry{}
-	}
-	u.store = uchEntry{}
-}

@@ -1,15 +1,10 @@
 package ooo
 
-import (
-	"helios/internal/fusion"
-)
-
 // This file holds the hot-path memory-layout structures (DESIGN.md §13):
-// a free-list arena recycling pUop objects across the run, an event wheel
-// replacing the per-cycle completion map, and a pairing ring replacing the
-// oracle's tail-seq map. All three trade the general map/allocate idiom
-// for slice indexing keyed by cycle or sequence number, which the
-// simulator can afford because both keys are dense and bounded.
+// a free-list arena recycling pUop objects across the run, and an event
+// wheel replacing the per-cycle completion map. Both trade the general
+// map/allocate idiom for slice indexing, which the simulator can afford
+// because the keys (µ-op slots, cycles) are dense and bounded.
 
 // uopArena recycles pUop objects. µ-ops are allocated in fixed-size
 // chunks (pointer stability: a pUop never moves once handed out) and
@@ -137,54 +132,4 @@ func (w *eventWheel) drain(now uint64) []eventRef {
 	evs := w.slots[i]
 	w.slots[i] = evs[:0]
 	return evs
-}
-
-// pairingRing holds oracle pairings awaiting application, keyed by the
-// tail's sequence number. Pairings are produced when the oracle observes
-// the tail record and consumed (or abandoned) in the same decode
-// neighbourhood, so live entries span at most a MaxDist-sized window;
-// the ring is sized well above that and each slot stores the exact tail
-// seq so a stale abandoned entry can never satisfy a lookup for a later
-// seq that happens to share its slot.
-type pairingRing struct {
-	slots []pairingSlot
-	mask  uint64
-}
-
-type pairingSlot struct {
-	p     fusion.Pairing
-	seq   uint64
-	valid bool
-}
-
-func newPairingRing(maxDist int) *pairingRing {
-	n := uint64(256)
-	for n < 4*uint64(maxDist+2) {
-		n *= 2
-	}
-	return &pairingRing{slots: make([]pairingSlot, n), mask: n - 1}
-}
-
-// put records a pairing for tail seq p.TailSeq, overwriting whatever
-// older (necessarily dead or abandoned) entry shared the slot.
-func (r *pairingRing) put(p fusion.Pairing) {
-	r.slots[p.TailSeq&r.mask] = pairingSlot{p: p, seq: p.TailSeq, valid: true}
-}
-
-// take returns and clears the pairing for exactly this tail seq.
-func (r *pairingRing) take(seq uint64) (fusion.Pairing, bool) {
-	s := &r.slots[seq&r.mask]
-	if !s.valid || s.seq != seq {
-		return fusion.Pairing{}, false
-	}
-	s.valid = false
-	return s.p, true
-}
-
-// clear drops every pending pairing (flush recovery: sequence numbers are
-// re-fetched and re-observed, so stale plans must not survive).
-func (r *pairingRing) clear() {
-	for i := range r.slots {
-		r.slots[i].valid = false
-	}
 }

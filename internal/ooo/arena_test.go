@@ -4,8 +4,6 @@ import (
 	"reflect"
 	"testing"
 	"unsafe"
-
-	"helios/internal/fusion"
 )
 
 // setNonZero writes a non-zero value of v's type through v, recursing
@@ -97,6 +95,20 @@ func TestUopResetComplete(t *testing.T) {
 	}
 }
 
+// TestUopSize pins the µ-op's layout on 64-bit targets. Every pipeline
+// structure holds pUop pointers into arena chunks, so the struct's size
+// is the arena's footprint per in-flight µ-op; a field added in the
+// wrong place can grow it by a whole padding word unnoticed. A change
+// that moves the size updates the pin and gives the reason.
+func TestUopSize(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("layout pinned for 64-bit targets")
+	}
+	if got := unsafe.Sizeof(pUop{}); got != 368 {
+		t.Errorf("unsafe.Sizeof(pUop{}) = %d, pinned 368", got)
+	}
+}
+
 // TestArenaRecycle checks the free-list round trip: a released µ-op is
 // handed out again with a bumped generation and invalid register slots,
 // and releasing it twice panics (the run loop converts that to a
@@ -179,41 +191,5 @@ func TestEventWheelStaleGeneration(t *testing.T) {
 	}
 	if evs[0].gen == evs[0].u.gen {
 		t.Error("released µ-op's event still passes the generation check")
-	}
-}
-
-// TestPairingRingExactSeq checks that the ring only returns a pairing
-// for the exact tail sequence it was stored under: an aliasing sequence
-// (same slot, different seq) must miss, and a leaked entry must be
-// safely overwritten by a later pairing landing in the same slot.
-func TestPairingRingExactSeq(t *testing.T) {
-	r := newPairingRing(4)
-	size := uint64(len(r.slots))
-
-	r.put(fusion.Pairing{TailSeq: 10})
-	if _, ok := r.take(10 + size); ok {
-		t.Error("take(aliasing seq) hit, want miss")
-	}
-	if _, ok := r.take(10); !ok {
-		t.Error("take(exact seq) missed")
-	}
-	if _, ok := r.take(10); ok {
-		t.Error("take consumed entry still present")
-	}
-
-	// A dead (never-taken) entry is overwritten by a slot collision.
-	r.put(fusion.Pairing{TailSeq: 20})
-	r.put(fusion.Pairing{TailSeq: 20 + size})
-	if _, ok := r.take(20); ok {
-		t.Error("overwritten entry still taken")
-	}
-	if p, ok := r.take(20 + size); !ok || p.TailSeq != 20+size {
-		t.Errorf("take(%d) = %+v ok=%v, want the overwriting pairing", 20+size, p, ok)
-	}
-
-	r.put(fusion.Pairing{TailSeq: 30})
-	r.clear()
-	if _, ok := r.take(30); ok {
-		t.Error("take after clear hit, want miss")
 	}
 }

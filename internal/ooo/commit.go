@@ -21,10 +21,8 @@ func (p *Pipeline) commitStage() {
 			// reclaimed when the drain completes.
 			u.committedSt = true
 		}
-		if u.kind != uop.FuseNone && !u.unfused && u.isNCSF {
-			if !p.extendedGroupComplete(u) {
-				return
-			}
+		if u.isNCSF && !u.unfused && !p.extendedGroupComplete(u) {
+			return
 		}
 		p.rob.pop()
 		u.st = stCommitted
@@ -47,7 +45,7 @@ func (p *Pipeline) commitStage() {
 // extendedGroupComplete checks that every ROB entry up to the tail
 // nucleus's position is complete.
 func (p *Pipeline) extendedGroupComplete(head *pUop) bool {
-	tailSeq := head.tailR.Seq
+	tailSeq := head.tail.Seq
 	for i := 1; i < p.rob.len(); i++ {
 		e := p.rob.at(i)
 		if e.seq > tailSeq {
@@ -73,8 +71,8 @@ func (p *Pipeline) commitWrites(u *pUop) {
 		}
 		arch := u.dstArch[i]
 		seqW := int64(u.seq)
-		if i > 0 && u.tailR != nil {
-			seqW = int64(u.tailR.Seq)
+		if i > 0 {
+			seqW = int64(u.tail.Seq) // only a fused µ-op has a second dest
 		}
 		if seqW > p.lastWriter[arch] {
 			old := p.cRAT[arch]
@@ -132,15 +130,15 @@ func (p *Pipeline) accountCommit(u *pUop) {
 	if u.r.MemSize != 0 {
 		p.st.CommittedMem++
 	}
-	if u.archInstCount() == 2 && u.tailR.MemSize != 0 {
+	if u.archInstCount() == 2 && u.tail.MemSize != 0 {
 		p.st.CommittedMem++
 	}
-	if u.unfused || u.kind == uop.FuseNone || u.tailR == nil {
+	if u.unfused || u.kind == uop.FuseNone {
 		return
 	}
 	switch u.kind {
 	case uop.FuseIdiom:
-		if u.tailR.MemSize != 0 {
+		if u.tail.MemSize != 0 {
 			p.st.FusedMemIdiom++
 		} else {
 			p.st.FusedIdiom++

@@ -16,6 +16,9 @@
 package ooo
 
 import (
+	"errors"
+	"fmt"
+
 	"helios/internal/cache"
 	"helios/internal/fusion"
 	"helios/internal/helios"
@@ -139,91 +142,127 @@ func DefaultConfig(mode fusion.Mode) Config {
 	}
 }
 
-// validate fills defaults for zero fields so tests can use sparse configs.
-func (c *Config) validate() {
+// Bounds of Check. The caps bound what New allocates (every table at
+// most maxEntries entries, every log2-sized table at most 2^maxLogSize)
+// and what the event wheel grows to cover (every latency at most
+// maxLatency cycles, far below the watchdog's 100,000-cycle bound).
+const (
+	maxEntries = 1 << 20
+	maxLogSize = 20
+	maxLatency = 10_000
+
+	// The architectural registers back the initial RAT, and a fused µ-op
+	// renames two destinations at once.
+	minPhysRegs = 32 + 2
+)
+
+// Check reports every field the model cannot run with, judged as New
+// sees the config: after zero fields are filled with the defaults, so a
+// sparse config passes. The lower bounds are what the model needs to
+// make progress; the caps keep one config from asking for gigabytes.
+// heliosd applies it to every custom machine before simulating.
+func (c Config) Check() error {
+	c.fill()
+	errs := []error{
+		inRange("Mode", c.Mode, fusion.ModeNoFusion, fusion.ModeOracle),
+		inRange("FetchWidth", c.FetchWidth, 1, maxEntries),
+		inRange("DecodeWidth", c.DecodeWidth, 1, maxEntries),
+		inRange("RenameWidth", c.RenameWidth, 1, maxEntries),
+		inRange("DispatchWidth", c.DispatchWidth, 1, maxEntries),
+		inRange("CommitWidth", c.CommitWidth, 1, maxEntries),
+		inRange("AQSize", c.AQSize, 1, maxEntries),
+		inRange("ROBSize", c.ROBSize, 1, maxEntries),
+		inRange("IQSize", c.IQSize, 1, maxEntries),
+		inRange("LQSize", c.LQSize, 1, maxEntries),
+		inRange("SQSize", c.SQSize, 1, maxEntries),
+		inRange("PhysRegs", c.PhysRegs, minPhysRegs, maxEntries),
+		inRange("ALUPorts", c.ALUPorts, 1, maxEntries),
+		inRange("LoadPorts", c.LoadPorts, 1, maxEntries),
+		inRange("StorePorts", c.StorePorts, 1, maxEntries),
+		inRange("ALULatency", c.ALULatency, 1, maxLatency),
+		inRange("MulLatency", c.MulLatency, 1, maxLatency),
+		inRange("DivLatency", c.DivLatency, 1, maxLatency),
+		inRange("RedirectPenalty", c.RedirectPenalty, 1, maxLatency),
+		inRange("StoreDrainPerCycle", c.StoreDrainPerCycle, 1, maxEntries),
+		inRange("TAGELogSize", c.TAGELogSize, 1, maxLogSize),
+		inRange("BTBSets", c.BTBSets, 1, maxEntries),
+		inRange("BTBWays", c.BTBWays, 1, maxEntries),
+		inRange("BTBSets×BTBWays", c.BTBSets*c.BTBWays, 1, maxEntries),
+		inRange("RASSize", c.RASSize, 1, maxEntries),
+		inRange("StoreSetLogSize", c.StoreSetLogSize, 1, maxLogSize),
+		inRange("StoreSetLogSets", c.StoreSetLogSets, 1, maxLogSize),
+		inRange("PairCfg.LineSize", c.PairCfg.LineSize, 1, maxEntries),
+		inRange("PairCfg.MaxDist", c.PairCfg.MaxDist, 1, maxEntries),
+		inRange("MaxNCSFNest", c.MaxNCSFNest, 1, maxEntries),
+		inRange("UCHLoadEntries", c.UCHLoadEntries, 0, maxEntries), // 0 = the paper's 6
+		inRange("Cache.LineSize", c.Cache.LineSize, 1, maxEntries),
+		inRange("Cache.MemLatency", c.Cache.MemLatency, 1, maxLatency),
+	}
+	for _, l := range []struct {
+		name string
+		cfg  cache.LevelConfig
+	}{{"Cache.L1I", c.Cache.L1I}, {"Cache.L1D", c.Cache.L1D}, {"Cache.L2", c.Cache.L2}, {"Cache.LLC", c.Cache.LLC}} {
+		errs = append(errs,
+			inRange(l.name+".Sets", l.cfg.Sets, 1, maxEntries),
+			inRange(l.name+".Ways", l.cfg.Ways, 1, maxEntries),
+			inRange(l.name+".Sets×Ways", l.cfg.Sets*l.cfg.Ways, 1, maxEntries),
+			inRange(l.name+".LineSize", l.cfg.LineSize, 1, maxEntries),
+			inRange(l.name+".Latency", l.cfg.Latency, 1, maxLatency))
+	}
+	return errors.Join(errs...)
+}
+
+// inRange reports field = v unless lo ≤ v ≤ hi. A product of two
+// out-of-range fields may wrap, but each factor is reported itself.
+func inRange[T ~int | ~uint | ~uint64](field string, v, lo, hi T) error {
+	if v < lo || v > hi {
+		return fmt.Errorf("%s = %d outside [%d, %d]", field, v, lo, hi)
+	}
+	return nil
+}
+
+// fill sets zero fields to the defaults so tests can use sparse configs.
+// The pair and cache configs are filled whole, keyed on their line size.
+func (c *Config) fill() {
 	def := DefaultConfig(c.Mode)
-	if c.FetchWidth == 0 {
-		c.FetchWidth = def.FetchWidth
-	}
-	if c.DecodeWidth == 0 {
-		c.DecodeWidth = def.DecodeWidth
-	}
-	if c.RenameWidth == 0 {
-		c.RenameWidth = def.RenameWidth
-	}
-	if c.DispatchWidth == 0 {
-		c.DispatchWidth = def.DispatchWidth
-	}
-	if c.CommitWidth == 0 {
-		c.CommitWidth = def.CommitWidth
-	}
-	if c.AQSize == 0 {
-		c.AQSize = def.AQSize
-	}
-	if c.ROBSize == 0 {
-		c.ROBSize = def.ROBSize
-	}
-	if c.IQSize == 0 {
-		c.IQSize = def.IQSize
-	}
-	if c.LQSize == 0 {
-		c.LQSize = def.LQSize
-	}
-	if c.SQSize == 0 {
-		c.SQSize = def.SQSize
-	}
-	if c.PhysRegs == 0 {
-		c.PhysRegs = def.PhysRegs
-	}
-	if c.ALUPorts == 0 {
-		c.ALUPorts = def.ALUPorts
-	}
-	if c.LoadPorts == 0 {
-		c.LoadPorts = def.LoadPorts
-	}
-	if c.StorePorts == 0 {
-		c.StorePorts = def.StorePorts
-	}
-	if c.ALULatency == 0 {
-		c.ALULatency = def.ALULatency
-	}
-	if c.MulLatency == 0 {
-		c.MulLatency = def.MulLatency
-	}
-	if c.DivLatency == 0 {
-		c.DivLatency = def.DivLatency
-	}
-	if c.RedirectPenalty == 0 {
-		c.RedirectPenalty = def.RedirectPenalty
-	}
-	if c.StoreDrainPerCycle == 0 {
-		c.StoreDrainPerCycle = def.StoreDrainPerCycle
-	}
-	if c.MaxNCSFNest == 0 {
-		c.MaxNCSFNest = def.MaxNCSFNest
-	}
-	if c.TAGELogSize == 0 {
-		c.TAGELogSize = def.TAGELogSize
-	}
-	if c.BTBSets == 0 {
-		c.BTBSets = def.BTBSets
-	}
-	if c.BTBWays == 0 {
-		c.BTBWays = def.BTBWays
-	}
-	if c.RASSize == 0 {
-		c.RASSize = def.RASSize
-	}
-	if c.StoreSetLogSize == 0 {
-		c.StoreSetLogSize = def.StoreSetLogSize
-	}
-	if c.StoreSetLogSets == 0 {
-		c.StoreSetLogSets = def.StoreSetLogSets
-	}
+	orDefault(&c.FetchWidth, def.FetchWidth)
+	orDefault(&c.DecodeWidth, def.DecodeWidth)
+	orDefault(&c.RenameWidth, def.RenameWidth)
+	orDefault(&c.DispatchWidth, def.DispatchWidth)
+	orDefault(&c.CommitWidth, def.CommitWidth)
+	orDefault(&c.AQSize, def.AQSize)
+	orDefault(&c.ROBSize, def.ROBSize)
+	orDefault(&c.IQSize, def.IQSize)
+	orDefault(&c.LQSize, def.LQSize)
+	orDefault(&c.SQSize, def.SQSize)
+	orDefault(&c.PhysRegs, def.PhysRegs)
+	orDefault(&c.ALUPorts, def.ALUPorts)
+	orDefault(&c.LoadPorts, def.LoadPorts)
+	orDefault(&c.StorePorts, def.StorePorts)
+	orDefault(&c.ALULatency, def.ALULatency)
+	orDefault(&c.MulLatency, def.MulLatency)
+	orDefault(&c.DivLatency, def.DivLatency)
+	orDefault(&c.RedirectPenalty, def.RedirectPenalty)
+	orDefault(&c.StoreDrainPerCycle, def.StoreDrainPerCycle)
+	orDefault(&c.MaxNCSFNest, def.MaxNCSFNest)
+	orDefault(&c.TAGELogSize, def.TAGELogSize)
+	orDefault(&c.BTBSets, def.BTBSets)
+	orDefault(&c.BTBWays, def.BTBWays)
+	orDefault(&c.RASSize, def.RASSize)
+	orDefault(&c.StoreSetLogSize, def.StoreSetLogSize)
+	orDefault(&c.StoreSetLogSets, def.StoreSetLogSets)
 	if c.PairCfg.LineSize == 0 {
 		c.PairCfg = def.PairCfg
 	}
 	if c.Cache.LineSize == 0 {
 		c.Cache = def.Cache
+	}
+}
+
+// orDefault sets *v to def when *v is zero.
+func orDefault[T comparable](v *T, def T) {
+	var zero T
+	if *v == zero {
+		*v = def
 	}
 }

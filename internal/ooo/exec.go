@@ -77,7 +77,7 @@ func (p *Pipeline) resolveStoreAddresses() {
 // storeAddrReady reports whether the store's base register value is
 // available (pending fused pairs wait for validation first).
 func (p *Pipeline) storeAddrReady(s *pUop) bool {
-	if s.isNCSF && !s.validated && !s.unfused {
+	if s.pending {
 		return false
 	}
 	if s.r.Inst.Rs1 == isa.Zero {
@@ -95,7 +95,7 @@ func (p *Pipeline) canIssue(u *pUop) bool {
 	if u.pendSrcs > 0 {
 		return false
 	}
-	if u.isNCSF && !u.validated && !u.unfused {
+	if u.pending {
 		return false // NCS Ready bit not set (Section IV-B2)
 	}
 	if u.r.Inst.Op.IsSerializing() && p.rob.front() != u {
@@ -214,11 +214,11 @@ func (p *Pipeline) accesses(u *pUop) (out [2]access, n int) {
 
 	out[0] = access{lo: ea1, span: uint64(sz1), seq: u.seq}
 	n = 1
-	if u.kind == uop.FuseIdiom && u.tailR != nil {
-		out[0].seq = u.tailR.Seq // the memory op is the idiom's tail
+	if u.kind == uop.FuseIdiom {
+		out[0].seq = u.tail.Seq // the memory op is the idiom's tail
 	}
 	if pair {
-		out[1] = access{lo: ea2, span: uint64(sz2), seq: u.tailR.Seq}
+		out[1] = access{lo: ea2, span: uint64(sz2), seq: u.tail.Seq}
 		n = 2
 	}
 	return out, n
@@ -382,15 +382,15 @@ func (p *Pipeline) checkViolations(st *pUop) {
 // pipeline flushes from the tail nucleus, which re-executes after the
 // store as an ordinary load.
 func (p *Pipeline) catalystConflict(u *pUop) {
-	if u.tailR == nil || u.unfused {
+	if u.unfused {
 		return
 	}
 	p.st.StoreSetViolations++
-	if u.usedPred && p.fp != nil {
-		p.fp.Mispredict(u.tailR.PC, u.predGhr, u.pred)
+	if p.predicted(u) {
+		p.fp.Mispredict(u.tail.PC, u.predGhr, u.pred)
 		p.st.FusionMispredicts++
 	}
-	tailSeq := u.tailR.Seq
+	tailSeq := u.tail.Seq
 	p.unfuseInPlace(u)
 	p.flushFrom(tailSeq)
 }
@@ -401,10 +401,10 @@ func (p *Pipeline) catalystConflict(u *pUop) {
 // re-fetched as an ordinary µ-op), and the FP entry's confidence resets.
 func (p *Pipeline) handleFusionMispredict(u *pUop) {
 	p.st.FusionMispredicts++
-	if u.usedPred && p.fp != nil {
-		p.fp.Mispredict(u.tailR.PC, u.predGhr, u.pred)
+	if p.predicted(u) {
+		p.fp.Mispredict(u.tail.PC, u.predGhr, u.pred)
 	}
-	tailSeq := u.tailR.Seq
+	tailSeq := u.tail.Seq
 	p.unfuseInPlace(u)
 	p.flushFrom(tailSeq)
 }

@@ -29,7 +29,7 @@ func (p *Pipeline) flushFrom(from uint64) {
 		if u.seq >= from {
 			break
 		}
-		if u.kind != uop.FuseNone && !u.unfused && u.tailR != nil && u.tailR.Seq >= from {
+		if u.kind != uop.FuseNone && !u.unfused && u.tail.Seq >= from {
 			p.unfuseInPlace(u)
 		}
 	}
@@ -47,13 +47,13 @@ func (p *Pipeline) flushFrom(from uint64) {
 		}
 		u.st = stKilled
 		ghrRestore, haveGhr = u.ghr, true
-		if p.obs != nil && !u.isTailNucleus {
+		if p.obs != nil && u.headUop == nil {
 			p.obsEmit(u, false)
 		}
 		// A killed tail nucleus whose head survives in the AQ (not yet
 		// renamed) must release the head, or it would wait forever. The
 		// generation check skips heads already recycled into new µ-ops.
-		if u.isTailNucleus && u.headUop != nil && u.headUop.gen == u.headGen &&
+		if u.headUop != nil && u.headUop.gen == u.headGen &&
 			u.headUop.st == stDecoded {
 			p.cancelNCSF(u.headUop, u)
 		}
@@ -100,8 +100,8 @@ func (p *Pipeline) flushFrom(from uint64) {
 				continue
 			}
 			seqW := int64(u.seq)
-			if d > 0 && u.tailR != nil {
-				seqW = int64(u.tailR.Seq)
+			if d > 0 {
+				seqW = int64(u.tail.Seq)
 			}
 			writes = append(writes, write{seq: seqW, arch: u.dstArch[d], preg: u.dstPhys[d]})
 		}
@@ -136,22 +136,17 @@ func (p *Pipeline) flushFrom(from uint64) {
 	}
 
 	// Re-prime the oracle from the history preceding the flush point.
+	// The pairings it finds there have tails before the flush point,
+	// which were applied (or dropped) when they were first fetched.
 	if p.oracle != nil {
 		p.oracle.Reset()
-		p.plannedPairs.clear()
 		start := p.windowBase
 		if from > uint64(p.cfg.PairCfg.MaxDist+1) && from-uint64(p.cfg.PairCfg.MaxDist+1) > start {
 			start = from - uint64(p.cfg.PairCfg.MaxDist+1)
 		}
 		for s := start; s < from; s++ {
 			if r := p.record(s); r != nil {
-				if pairing, ok := p.oracle.Observe(*r); ok {
-					// Pairs wholly before the flush point were already
-					// applied (or dropped); only future tails matter.
-					if pairing.TailSeq >= from {
-						p.plannedPairs.put(pairing)
-					}
-				}
+				p.oracle.Observe(*r)
 			}
 		}
 		p.oracleFed = from
@@ -189,7 +184,7 @@ func (p *Pipeline) unfuseInPlace(u *pUop) {
 		return
 	}
 	u.unfused = true
-	u.validated = true
+	u.pending = false
 	// One retiring instruction now, not two: move the dispatch slot
 	// from fused-retiring back to plain retiring.
 	if u.tdBucket == int8(stats.TDFusedRetiring) {

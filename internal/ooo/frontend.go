@@ -167,7 +167,7 @@ func (p *Pipeline) fuseConsecutive(group []*pUop) {
 		if u.st == stKilled {
 			continue
 		}
-		if prev != nil && prev.kind == uop.FuseNone && !prev.isTailNucleus &&
+		if prev != nil && prev.kind == uop.FuseNone && prev.headUop == nil &&
 			prev.seq+1 == u.seq && !prev.r.Inst.Op.IsControlFlow() {
 			if p.tryFusePair(prev, u) {
 				prev = nil // fused µ-op cannot immediately fuse again
@@ -202,9 +202,7 @@ func (p *Pipeline) tryFusePair(a, b *pUop) bool {
 // the pipeline (consecutive fusion: the tail nucleus vanishes at decode).
 func (p *Pipeline) absorbTail(a, b *pUop, kind uop.FuseKind) {
 	a.kind = kind
-	a.tailStorage = b.r
-	a.tailR = &a.tailStorage
-	a.validated = true
+	a.tail = b.r
 	b.st = stKilled
 }
 
@@ -213,7 +211,7 @@ func (p *Pipeline) absorbTail(a, b *pUop, kind uop.FuseKind) {
 // head nucleus is still available in the AQ or this decode group.
 func (p *Pipeline) markPredictedPairs(group []*pUop) {
 	for _, u := range group {
-		if u.st == stKilled || u.r.MemSize == 0 || u.kind != uop.FuseNone || u.isTailNucleus {
+		if u.st == stKilled || u.r.MemSize == 0 || u.kind != uop.FuseNone || u.headUop != nil {
 			continue
 		}
 		pred, ok := p.fp.Predict(u.r.PC, u.ghr)
@@ -224,28 +222,24 @@ func (p *Pipeline) markPredictedPairs(group []*pUop) {
 		if head == nil || !p.headEligible(head, u) {
 			continue
 		}
-		p.establishNCSF(head, u, pred, true)
+		p.establishNCSF(head, u, pred)
+		p.st.FusionPredictions++
 	}
 }
 
-// markOraclePairs feeds the oracle and applies its pairing plan.
+// markOraclePairs feeds the oracle every µ-op exactly once, in decode
+// order (tail nucleii killed by idiom fusion still feed it), and applies
+// each pairing as the oracle finds it. Observe reads only the records
+// and applying a pairing touches no oracle state, so this order gives
+// the same pairs as observing the whole group first.
 func (p *Pipeline) markOraclePairs(group []*pUop) {
 	for _, u := range group {
-		// The oracle consumes every µ-op exactly once, in decode order
-		// (tail nucleii killed by idiom fusion still feed it).
-		if u.seq == p.oracleFed {
-			if pairing, ok := p.oracle.Observe(u.r); ok {
-				p.plannedPairs.put(pairing)
-			}
-			p.oracleFed++
-		}
-	}
-	for _, u := range group {
-		if u.st == stKilled || u.kind != uop.FuseNone || u.isTailNucleus {
+		if u.seq != p.oracleFed {
 			continue
 		}
-		pairing, ok := p.plannedPairs.take(u.seq)
-		if !ok {
+		p.oracleFed++
+		pairing, ok := p.oracle.Observe(u.r)
+		if !ok || u.st == stKilled || u.kind != uop.FuseNone || u.headUop != nil {
 			continue
 		}
 		head := p.findFusionHead(pairing.HeadSeq, group)
@@ -258,7 +252,7 @@ func (p *Pipeline) markOraclePairs(group []*pUop) {
 			p.absorbTail(head, u, pairing.Kind)
 			continue
 		}
-		p.establishNCSF(head, u, helios.Prediction{}, false)
+		p.establishNCSF(head, u, helios.Prediction{})
 	}
 }
 
@@ -282,29 +276,27 @@ func (p *Pipeline) findFusionHead(seq uint64, group []*pUop) *pUop {
 // head not already fused and not part of another pair, and the two
 // accesses an eligible pair.
 func (p *Pipeline) headEligible(head, tail *pUop) bool {
-	if head == tail || head.st == stKilled || head.kind != uop.FuseNone || head.isTailNucleus {
+	if head == tail || head.st == stKilled || head.kind != uop.FuseNone || head.headUop != nil {
 		return false
 	}
 	return fusion.Eligible(head.r.Inst, tail.r.Inst)
 }
 
 // establishNCSF links head and tail as a speculative non-consecutive pair.
-// The head becomes the NCSF'd µ-op; the tail nucleus stays in the AQ and
-// flows to Rename to validate it.
-func (p *Pipeline) establishNCSF(head, tail *pUop, pred helios.Prediction, usedPred bool) {
-	head.tailStorage = tail.r
+// The head becomes the NCSF'd µ-op, pending until the tail nucleus, which
+// stays in the AQ and flows to Rename, validates it.
+func (p *Pipeline) establishNCSF(head, tail *pUop, pred helios.Prediction) {
+	head.tail = tail.r
 	head.pair = fusion.Pair(&head.r, &tail.r, p.cfg.PairCfg.LineSize)
 	head.kind = head.pair.Kind
-	head.tailR = &head.tailStorage
 	head.isNCSF = true
-	head.validated = false
+	head.pending = true
 	head.pred = pred
-	head.usedPred = usedPred
 	head.predGhr = tail.ghr
-	tail.isTailNucleus = true
 	tail.headUop = head
 	tail.headGen = head.gen
-	if usedPred {
-		p.st.FusionPredictions++
-	}
 }
+
+// predicted reports whether the fusion predictor proposed u's pair:
+// Helios NCSF pairs come only from the FP, and OracleFusion has no FP.
+func (p *Pipeline) predicted(u *pUop) bool { return u.isNCSF && p.fp != nil }

@@ -66,8 +66,9 @@ func (p *Pipeline) CheckInvariants() error {
 		if u.st == stKilled || u.st == stCommitted {
 			return fmt.Errorf("ROB holds dead µ-op seq=%d st=%d", u.seq, u.st)
 		}
-		if u.kind != uop.FuseNone && !u.unfused && u.tailR == nil {
-			return fmt.Errorf("fused µ-op seq=%d has no tail record", u.seq)
+		if u.kind != uop.FuseNone && u.tail.Seq <= u.seq {
+			return fmt.Errorf("fused µ-op seq=%d has no tail record younger than it (tail seq=%d)",
+				u.seq, u.tail.Seq)
 		}
 		if u.pendSrcs < 0 || u.pendSrcs > u.numSrc {
 			return fmt.Errorf("seq=%d pendSrcs=%d of %d", u.seq, u.pendSrcs, u.numSrc)
@@ -95,9 +96,9 @@ func (p *Pipeline) CheckInvariants() error {
 		}
 	}
 
-	// Pending NCSF heads must still be live, fused and unvalidated.
+	// Pending NCSF heads must still be live and pending.
 	for _, h := range p.pendingNCSF {
-		if h.st == stKilled || h.unfused || h.validated {
+		if h.st == stKilled || !h.pending {
 			return fmt.Errorf("stale pending NCSF head seq=%d", h.seq)
 		}
 	}
@@ -120,20 +121,15 @@ func (p *Pipeline) CheckInvariants() error {
 	return nil
 }
 
-// RunChecked is Run with CheckInvariants called every interval cycles;
-// it is the harness used by the failure-injection tests. A violation
-// surfaces as a FailInvariant SimError with the snapshot attached.
+// RunChecked is Run with CheckInvariants called every interval cycles
+// (0 = every cycle); it is the harness of the failure-injection tests
+// and the chaos campaigns. A violation surfaces as a FailInvariant
+// SimError with the snapshot attached.
 //
-//helios:ctx-ok top-of-stack convenience for tests; the chaos driver uses RunCheckedContext
+//helios:ctx-ok top-of-stack convenience for tests and the chaos campaigns, which bound runs by instruction budget and watchdog, not by context
 func (p *Pipeline) RunChecked(interval uint64) (*Stats, error) {
-	return p.RunCheckedContext(context.Background(), interval)
-}
-
-// RunCheckedContext combines invariant sweeps with cooperative
-// cancellation; it is the chaos driver's entry point.
-func (p *Pipeline) RunCheckedContext(ctx context.Context, interval uint64) (*Stats, error) {
 	if interval == 0 {
 		interval = 1
 	}
-	return p.run(ctx, interval)
+	return p.run(context.Background(), interval)
 }

@@ -31,13 +31,13 @@ func (p *Pipeline) obsEmit(u *pUop, retired bool) {
 		Complete:     u.completeAt,
 		Mispredicted: u.mispredicted,
 	}
-	if u.kind != uop.FuseNone && u.tailR != nil {
+	if u.kind != uop.FuseNone {
 		ev.Fused = u.kind.String()
-		ev.TailSeq = u.tailR.Seq
-		ev.TailPC = u.tailR.PC
+		ev.TailSeq = u.tail.Seq
+		ev.TailPC = u.tail.PC
 		ev.PairDistance = u.pair.Distance
 		ev.PairCategory = u.pair.Category.String()
-		ev.Predicted = u.usedPred
+		ev.Predicted = p.predicted(u)
 		ev.Unfused = u.unfused
 	}
 	if retired {

@@ -72,7 +72,7 @@ func BenchmarkPipelineObsOn(b *testing.B) {
 // pin here and gives the reason in CHANGES.md. The root package's
 // TestExactLedger pins a real kernel under all six modes the same way.
 func TestExactLedgerObsOff(t *testing.T) {
-	const wantCycles, wantAllocs = 4524, 4330
+	const wantCycles, wantAllocs = 4524, 4328
 	rec := benchRecording(t)
 	var st *Stats
 	var err error

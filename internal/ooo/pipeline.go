@@ -83,10 +83,7 @@ type Pipeline struct {
 	fp        *helios.FP
 	oracle    *fusion.Oracle
 
-	// Oracle pairings awaiting application, keyed by tail seq on a ring
-	// (exact-seq validated, so an abandoned entry can never alias).
-	plannedPairs *pairingRing
-	oracleFed    uint64 // next seq the oracle expects
+	oracleFed uint64 // next seq the oracle expects
 
 	// Store buffer drain port state.
 	drainPortFree uint64
@@ -120,20 +117,19 @@ type Pipeline struct {
 
 // New builds a pipeline over the given committed-path source.
 func New(cfg Config, src trace.Source) *Pipeline {
-	cfg.validate()
+	cfg.fill()
 	p := &Pipeline{
-		cfg:          cfg,
-		mem:          cache.New(cfg.Cache),
-		src:          src,
-		tage:         branch.NewTAGE(cfg.TAGELogSize),
-		btb:          branch.NewBTB(cfg.BTBSets, cfg.BTBWays),
-		ras:          branch.NewRAS(cfg.RASSize),
-		aq:           newUopRing(cfg.AQSize),
-		rob:          newUopRing(cfg.ROBSize),
-		events:       newEventWheel(),
-		storeSets:    memdep.New(cfg.StoreSetLogSize, cfg.StoreSetLogSets),
-		plannedPairs: newPairingRing(cfg.PairCfg.MaxDist),
-		obs:          cfg.Obs,
+		cfg:       cfg,
+		mem:       cache.New(cfg.Cache),
+		src:       src,
+		tage:      branch.NewTAGE(cfg.TAGELogSize),
+		btb:       branch.NewBTB(cfg.BTBSets, cfg.BTBWays),
+		ras:       branch.NewRAS(cfg.RASSize),
+		aq:        newUopRing(cfg.AQSize),
+		rob:       newUopRing(cfg.ROBSize),
+		events:    newEventWheel(),
+		storeSets: memdep.New(cfg.StoreSetLogSize, cfg.StoreSetLogSets),
+		obs:       cfg.Obs,
 	}
 	// Physical register file: the first 32 back the initial RAT.
 	p.regReady = make([]bool, cfg.PhysRegs)
@@ -162,9 +158,6 @@ func New(cfg Config, src trace.Source) *Pipeline {
 	}
 	return p
 }
-
-// Stats returns the accumulated statistics.
-func (p *Pipeline) Stats() *Stats { return &p.st }
 
 // Mem returns the cache hierarchy (for cache stats).
 func (p *Pipeline) Mem() *cache.Hierarchy { return p.mem }
@@ -280,8 +273,8 @@ func describeUop(u *pUop) string {
 	if u == nil {
 		return "<empty>"
 	}
-	return fmt.Sprintf("seq=%d %v st=%d kind=%v validated=%v pendSrcs=%d",
-		u.seq, u.r.Inst, u.st, u.kind, u.validated, u.pendSrcs)
+	return fmt.Sprintf("seq=%d %v st=%d kind=%v pending=%v pendSrcs=%d",
+		u.seq, u.r.Inst, u.st, u.kind, u.pending, u.pendSrcs)
 }
 
 // record returns the dynamic record for seq, which must be inside the

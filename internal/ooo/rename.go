@@ -50,7 +50,7 @@ loop:
 			break
 		}
 		switch {
-		case u.isTailNucleus:
+		case u.headUop != nil:
 			var bucket stats.TDBucket
 			var consumed bool
 			slots, bucket, consumed = p.processTailNucleus(u, slots)
@@ -115,7 +115,7 @@ loop:
 // rename-time repair cases do.
 func (p *Pipeline) breakNCSFDeadlock() {
 	h := p.rob.front()
-	if h == nil || !h.isNCSF || h.validated || h.unfused || h.st != stDispatched {
+	if h == nil || !h.pending || h.st != stDispatched {
 		return
 	}
 	p.rejectPair(h, fusion.UnfuseWindow)
@@ -133,7 +133,6 @@ func (p *Pipeline) processTailNucleus(u *pUop, slots int) (int, stats.TDBucket, 
 		// The pairing was cancelled (nest limit, flush, a head already
 		// committed+recycled after an unfuse, ...): the tail is an
 		// ordinary µ-op again.
-		u.isTailNucleus = false
 		u.headUop = nil
 		return slots, 0, false
 	}
@@ -147,7 +146,6 @@ func (p *Pipeline) processTailNucleus(u *pUop, slots int) (int, stats.TDBucket, 
 	if reason, unfuse := fusion.CheckCatalyst(p.span(head.seq, u.seq)); unfuse {
 		p.rejectPair(head, reason)
 		// The tail becomes an ordinary µ-op; the fix-up consumed a slot.
-		u.isTailNucleus = false
 		u.headUop = nil
 		return slots - 1, stats.TDBadSpeculation, true
 	}
@@ -157,7 +155,7 @@ func (p *Pipeline) processTailNucleus(u *pUop, slots int) (int, stats.TDBucket, 
 	// perform the deferred tail destination rename.
 	p.resolveTailSources(head, u)
 	p.finishTailDest(head, u)
-	head.validated = true
+	head.pending = false
 	p.removePendingNCSF(head)
 	u.st = stKilled // the tail nucleus leaves the pipeline
 	p.aq.pop()
@@ -168,12 +166,9 @@ func (p *Pipeline) processTailNucleus(u *pUop, slots int) (int, stats.TDBucket, 
 // cancelNCSF reverts a speculative NCSF pairing before the head renamed.
 func (p *Pipeline) cancelNCSF(head, tail *pUop) {
 	head.kind = uop.FuseNone
-	head.tailR = nil
 	head.isNCSF = false
-	head.validated = false
-	head.usedPred = false
+	head.pending = false
 	if tail != nil {
-		tail.isTailNucleus = false
 		tail.headUop = nil
 	}
 }
@@ -206,8 +201,8 @@ func (p *Pipeline) destCount(u *pUop) int {
 	if _, ok := uop.Dest(u.r.Inst); ok {
 		n++
 	}
-	if u.kind != uop.FuseNone && u.tailR != nil {
-		if d, ok := uop.Dest(u.tailR.Inst); ok {
+	if u.kind != uop.FuseNone {
+		if d, ok := uop.Dest(u.tail.Inst); ok {
 			// Idiom fusion reuses the head's destination register.
 			if !(u.kind == uop.FuseIdiom && u.r.Inst.Rd == d) {
 				n++
@@ -221,7 +216,7 @@ func (p *Pipeline) destCount(u *pUop) int {
 func (p *Pipeline) renameUop(u *pUop) {
 	// NCSF heads beyond the nesting limit behave as unfused (paper): the
 	// pairing is cancelled and the tail reverted when it arrives.
-	if u.isNCSF && !u.validated {
+	if u.pending {
 		if len(p.pendingNCSF) >= p.cfg.MaxNCSFNest {
 			p.st.NestLimitDrops++
 			p.cancelNCSF(u, nil) // the tail detects the broken link itself
@@ -256,8 +251,8 @@ func (p *Pipeline) renameUop(u *pUop) {
 		addSrc(in.Rs2)
 	}
 	tailSrcSlots := 0
-	if u.kind != uop.FuseNone && u.tailR != nil {
-		ti := u.tailR.Inst
+	if u.kind != uop.FuseNone {
+		ti := u.tail.Inst
 		switch {
 		case u.kind == uop.FuseIdiom:
 			// The intermediate register (head's rd) is internal.
@@ -267,7 +262,7 @@ func (p *Pipeline) renameUop(u *pUop) {
 			if ti.Op.HasRs2() && ti.Rs2 != in.Rd {
 				addSrc(ti.Rs2)
 			}
-		case u.isNCSF && !u.validated:
+		case u.pending:
 			// Tail sources resolve at tail rename (RaW safety): reserve
 			// slots.
 			if ti.Op.HasRs1() && ti.Rs1 != isa.Zero {
@@ -310,12 +305,12 @@ func (p *Pipeline) renameUop(u *pUop) {
 	if d, ok := uop.Dest(u.r.Inst); ok {
 		p.allocDest(u, d, true)
 	}
-	if u.kind != uop.FuseNone && u.tailR != nil {
-		if d, ok := uop.Dest(u.tailR.Inst); ok {
+	if u.kind != uop.FuseNone {
+		if d, ok := uop.Dest(u.tail.Inst); ok {
 			if u.kind == uop.FuseIdiom && d == u.r.Inst.Rd && u.numDst > 0 {
 				// Same register: one physical destination serves both.
 			} else {
-				p.allocDest(u, d, !u.isNCSF || u.validated)
+				p.allocDest(u, d, !u.pending)
 			}
 		}
 	}
@@ -387,8 +382,8 @@ func (p *Pipeline) finishTailDest(head, tail *pUop) {
 func (p *Pipeline) rejectPair(head *pUop, reason fusion.UnfuseReason) {
 	p.st.UnfusedAtRename++
 	p.st.UnfuseReasons[reason]++
-	if head.usedPred && p.fp != nil && head.tailR != nil {
-		p.fp.Mispredict(head.tailR.PC, head.predGhr, head.pred)
+	if p.predicted(head) {
+		p.fp.Mispredict(head.tail.PC, head.predGhr, head.pred)
 	}
 	p.unfuseInPlace(head)
 }

@@ -22,10 +22,10 @@ const (
 // invalidReg marks an unused physical register slot.
 const invalidReg = int32(-1)
 
-// pUop is a µ-op flowing through the pipeline. A fused µ-op keeps the
-// head nucleus's record in r and its tail nucleus's record in tailR
-// (pointing at its own tailStorage). µ-ops are recycled through the
-// uopArena; gen/pooled are the recycling bookkeeping and survive reset.
+// pUop is a µ-op flowing through the pipeline. A fused µ-op (kind !=
+// FuseNone) keeps the head nucleus's record in r and its tail nucleus's
+// record in tail. µ-ops are recycled through the uopArena; gen/pooled
+// are the recycling bookkeeping and survive reset.
 type pUop struct {
 	r   emu.Retired
 	seq uint64 // == r.Seq; unique per dynamic instruction
@@ -38,28 +38,28 @@ type pUop struct {
 	gen    uint32
 	pooled bool
 
-	// Fusion state.
-	kind        uop.FuseKind
-	tailR       *emu.Retired // architectural record of the fused tail
-	tailStorage emu.Retired  // backing store for tailR (avoids a heap copy)
-	isNCSF      bool         // fused non-consecutively: needs validation
-	validated   bool         // NCSF'd µ-op may issue (NCS Ready)
-	unfused     bool         // NCSF fusion was undone at rename
-	usedPred    bool         // fusion came from the FP (Helios) and must update it
-	pred        helios.Prediction
-	predGhr     uint64 // tail's decode-time GHR, for FP updates
+	// Fusion state. Each fact is stored once: a tail is present iff kind
+	// != FuseNone, and the FP proposed the pair iff isNCSF in a mode that
+	// has an FP (Pipeline.predicted).
+	kind    uop.FuseKind
+	tail    emu.Retired // architectural record of the fused tail
+	isNCSF  bool        // fused non-consecutively
+	pending bool        // NCSF'd µ-op awaiting validation: NCS Ready clear
+	unfused bool        // fusion was undone after rename
+	pred    helios.Prediction
+	predGhr uint64 // tail's decode-time GHR, for FP updates
 
 	// The memory pair's attributes, from fusion.Pair at fuse time (for
 	// stats and the region check at execute); zero for idioms.
 	pair fusion.Pairing
 
-	// Tail-nucleus role (the tail object still flows to Rename for NCSF).
-	// headGen snapshots the head's generation at link time: a head that
-	// was released and recycled while the tail still pointed at it fails
-	// the check and the pairing is treated as cancelled.
-	headUop       *pUop // for a tail nucleus: its head
-	headGen       uint32
-	isTailNucleus bool
+	// Tail-nucleus role: headUop is non-nil exactly for a tail nucleus
+	// (it still flows to Rename for NCSF). headGen snapshots the head's
+	// generation at link time: a head that was released and recycled
+	// while the tail still pointed at it fails the check and the pairing
+	// is treated as cancelled.
+	headUop *pUop
+	headGen uint32
 
 	// Renamed registers. Fused µ-ops use up to 3 sources and 2 dests.
 	srcPhys  [3]int32
@@ -107,8 +107,8 @@ type pUop struct {
 const srcPending = int32(-2)
 
 func (u *pUop) isLoad() bool {
-	if u.kind == uop.FuseIdiom && u.tailR != nil {
-		return u.tailR.IsLoad()
+	if u.kind == uop.FuseIdiom {
+		return u.tail.IsLoad()
 	}
 	return u.r.IsLoad()
 }
@@ -118,11 +118,11 @@ func (u *pUop) isStore() bool { return u.r.IsStore() }
 // memRecords returns the effective accesses of the µ-op: one for a simple
 // memory op, two for a fused pair.
 func (u *pUop) memRecords() (ea1 uint64, sz1 uint8, ea2 uint64, sz2 uint8, pair bool) {
-	if u.kind == uop.FuseIdiom && u.tailR != nil {
-		return u.tailR.EA, u.tailR.MemSize, 0, 0, false
+	if u.kind == uop.FuseIdiom {
+		return u.tail.EA, u.tail.MemSize, 0, 0, false
 	}
-	if u.kind.IsMemory() && u.tailR != nil && !u.unfused {
-		return u.r.EA, u.r.MemSize, u.tailR.EA, u.tailR.MemSize, true
+	if u.kind.IsMemory() && !u.unfused {
+		return u.r.EA, u.r.MemSize, u.tail.EA, u.tail.MemSize, true
 	}
 	return u.r.EA, u.r.MemSize, 0, 0, false
 }
@@ -130,7 +130,7 @@ func (u *pUop) memRecords() (ea1 uint64, sz1 uint8, ea2 uint64, sz2 uint8, pair 
 // archInstCount returns how many architectural instructions the µ-op
 // retires (2 when fused).
 func (u *pUop) archInstCount() uint64 {
-	if u.kind != uop.FuseNone && u.tailR != nil && !u.unfused {
+	if u.kind != uop.FuseNone && !u.unfused {
 		return 2
 	}
 	return 1

@@ -35,7 +35,8 @@ type RunRequest struct {
 	// Config optionally overrides the whole machine description. When
 	// set, Mode is taken from the config; the result is cached under the
 	// full config, so a config equal to a mode's default shares that
-	// mode's result.
+	// mode's result. Zero fields take the mode's defaults; a field out
+	// of the range ooo.Config.Check allows is a bad-request error.
 	Config *ooo.Config `json:"config,omitempty"`
 	// Obs requests a per-run observability artifact: "pipeview" (Konata
 	// O3PipeView), "events" (NDJSON pipeline events) or "interval"

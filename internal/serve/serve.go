@@ -472,6 +472,9 @@ func (s *Server) resolveRun(req *RunRequest) (name string, cfg ooo.Config, budge
 			return "", cfg, 0, &Error{Kind: ErrBadRequest,
 				Msg: fmt.Sprintf("mode %q conflicts with config.Mode %q", req.Mode, req.Config.Mode)}
 		}
+		if err := req.Config.Check(); err != nil {
+			return "", cfg, 0, &Error{Kind: ErrBadRequest, Msg: "config: " + err.Error()}
+		}
 		return wl.Name, *req.Config, budget, nil
 	}
 	modeName := req.Mode

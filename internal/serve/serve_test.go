@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -216,6 +217,63 @@ func TestHostileRequests(t *testing.T) {
 				t.Errorf("kind = %s, want %s", e.Kind, tc.kind)
 			}
 		})
+	}
+}
+
+// TestHostileConfigs sends custom machines the model cannot run, or that
+// would make it allocate without bound: each must come back a typed 400
+// naming the field, before any simulation, and no handler may panic.
+// On a server that does not check them, every value here fails fast: a
+// panic, a watchdog, or an allocation of tens of megabytes at most.
+// Machines the model runs pass the same check.
+func TestHostileConfigs(t *testing.T) {
+	s, ts := newTestServer(t, testConfig())
+	cases := []struct {
+		field string
+		mut   func(*ooo.Config)
+	}{
+		{"PhysRegs", func(c *ooo.Config) { c.PhysRegs = 8 }},
+		{"ROBSize", func(c *ooo.Config) { c.ROBSize = -1 }},
+		{"Cache.L1D.Sets", func(c *ooo.Config) { c.Cache.L1D.Sets = 0 }},
+		{"Cache.L1I.LineSize", func(c *ooo.Config) { c.Cache.L1I.LineSize = 0 }},
+		{"FetchWidth", func(c *ooo.Config) { c.FetchWidth = -1 }},
+		{"StoreDrainPerCycle", func(c *ooo.Config) { c.StoreDrainPerCycle = -1 }},
+		{"TAGELogSize", func(c *ooo.Config) { c.TAGELogSize = 64 }},
+		{"Mode", func(c *ooo.Config) { c.Mode = fusion.Mode(len(fusion.Modes)) }},
+		{"ROBSize", func(c *ooo.Config) { c.ROBSize = 1<<20 + 1 }},
+		{"TAGELogSize", func(c *ooo.Config) { c.TAGELogSize = 21 }},
+		{"DivLatency", func(c *ooo.Config) { c.DivLatency = 10_001 }},
+	}
+	for _, tc := range cases {
+		cfg := ooo.DefaultConfig(fusion.ModeHelios)
+		tc.mut(&cfg)
+		resp, body := postJSON(t, ts.URL+"/v1/run", RunRequest{Workload: "crc32", Config: &cfg})
+		if resp.StatusCode != 400 {
+			t.Errorf("%s: status %d, want 400: %s", tc.field, resp.StatusCode, body)
+			continue
+		}
+		if e := decodeError(t, body); e.Kind != ErrBadRequest || !strings.Contains(e.Msg, tc.field+" = ") {
+			t.Errorf("%s: %s %q, want a %s naming the field", tc.field, e.Kind, e.Msg, ErrBadRequest)
+		}
+	}
+	if c := s.Counters(); c.PanicsRecovered != 0 {
+		t.Errorf("PanicsRecovered = %d, want 0", c.PanicsRecovered)
+	}
+
+	for _, mode := range fusion.Modes {
+		if err := ooo.DefaultConfig(mode).Check(); err != nil {
+			t.Errorf("DefaultConfig(%v) rejected: %v", mode, err)
+		}
+	}
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 300; i++ {
+		if cfg := chaos.RandomConfig(rng, fusion.Modes[i%len(fusion.Modes)]); cfg.Check() != nil {
+			t.Fatalf("chaos.RandomConfig #%d rejected: %v", i, cfg.Check())
+		}
+	}
+	sparse := ooo.Config{Mode: fusion.ModeHelios, ROBSize: 64}
+	if resp, body := postJSON(t, ts.URL+"/v1/run", RunRequest{Workload: "crc32", Config: &sparse}); resp.StatusCode != 200 {
+		t.Errorf("sparse config: status %d: %s", resp.StatusCode, body)
 	}
 }
 

@@ -29,12 +29,12 @@ func TestExactLedger(t *testing.T) {
 		cycles uint64
 		allocs float64
 	}{
-		{fusion.ModeNoFusion, 12081, 4123},
-		{fusion.ModeRISCVFusion, 12081, 4120},
-		{fusion.ModeCSFSBR, 12081, 4188},
-		{fusion.ModeRISCVFusionPP, 12081, 4188},
-		{fusion.ModeHelios, 11537, 5464},
-		{fusion.ModeOracle, 11524, 5750},
+		{fusion.ModeNoFusion, 12081, 4121},
+		{fusion.ModeRISCVFusion, 12081, 4118},
+		{fusion.ModeCSFSBR, 12081, 4186},
+		{fusion.ModeRISCVFusionPP, 12081, 4186},
+		{fusion.ModeHelios, 11537, 5462},
+		{fusion.ModeOracle, 11524, 5748},
 	}
 	for _, p := range pins {
 		var st *ooo.Stats
