@@ -96,22 +96,19 @@ func BenchmarkFP(b *testing.B) {
 	}
 }
 
-// BenchmarkOracle measures the perfect-pairing engine's observe path.
+// BenchmarkOracle measures the perfect-pairing engine's observe path
+// over a recorded stream, wrapping to its start when it runs out.
 func BenchmarkOracle(b *testing.B) {
 	o := fusion.NewOracle(fusion.DefaultPairConfig())
 	w, _ := workloads.ByName("typeset")
-	s, err := w.Trace(uint64(b.N))
+	rec, err := w.Record(uint64(min(b.N, 100_000)))
 	if err != nil {
 		b.Fatal(err)
 	}
+	recs := rec.Records()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r, ok := s.Next()
-		if !ok {
-			s, _ = w.Trace(uint64(b.N))
-			continue
-		}
-		o.Observe(r)
+		o.Observe(recs[:i%len(recs)+1])
 	}
 }
 

@@ -114,10 +114,14 @@ func RunConfig(ctx context.Context, w workloads.Workload, cfg ooo.Config, maxIns
 
 // RunSource simulates an explicit committed-path source — typically a
 // trace.Recording replay cursor or a loaded trace file — under cfg.
-// maxInsts bounds committed instructions (0 = drain the source). The
+// maxInsts bounds committed instructions (0 = drain the source). A cfg
+// that ooo.Config.Check rejects is an error, not a panic in ooo.New. The
 // context is polled inside the cycle loop; on cancellation the returned
 // error unwraps to ctx.Err().
 func RunSource(ctx context.Context, name string, cfg ooo.Config, src trace.Source, maxInsts uint64) (*Result, error) {
+	if err := cfg.Check(); err != nil {
+		return nil, fmt.Errorf("core: %s/%v: %w", name, cfg.Mode, err)
+	}
 	cfg.MaxUops = maxInsts
 	p := ooo.New(cfg, src)
 	st, err := p.RunContext(ctx)
@@ -376,8 +380,12 @@ func (s *Suite) ReplayCached(ctx context.Context, name string, cfg ooo.Config, b
 
 // run performs one uncached simulation: fetch (or make) the workload's
 // recording, replay it through the pipeline under cfg, and on a replay
-// failure degrade to one live re-emulation.
+// failure degrade to one live re-emulation. A config that fails Check
+// is no fault of the recording: it fails first, with nothing repaired.
 func (s *Suite) run(ctx context.Context, w workloads.Workload, cfg ooo.Config, budget uint64) (*Result, error) {
+	if err := cfg.Check(); err != nil {
+		return nil, fmt.Errorf("core: %s/%v: %w", w.Name, cfg.Mode, err)
+	}
 	sp := telemetry.StartSpan(ctx, "record")
 	rec, err := s.recording(ctx, w, budget)
 	sp.SetBool("err", err != nil)

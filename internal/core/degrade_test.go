@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"strings"
 	"testing"
 	"time"
 
@@ -11,6 +12,7 @@ import (
 	"helios/internal/isa"
 	"helios/internal/ooo"
 	"helios/internal/trace"
+	"helios/internal/workloads"
 )
 
 // corruptRecording builds a recording whose record stream is valid until
@@ -152,5 +154,77 @@ func TestRunSourceCancelledMidRun(t *testing.T) {
 	}
 	if se.Snapshot.ROB.Cap == 0 {
 		t.Error("context failure has no pipeline snapshot")
+	}
+}
+
+// TestRunSourceChecksConfig: a machine that ooo.Config.Check rejects is
+// an error naming the field from every core entry, never a panic in the
+// caller's goroutine (ooo.New builds its tables before the run loop's
+// recover is armed). Through the suite the error settles the key's
+// flight like any other failure, so an identical call gets it at once,
+// and nothing is recorded or repaired for it.
+func TestRunSourceChecksConfig(t *testing.T) {
+	cfg := ooo.DefaultConfig(fusion.ModeHelios)
+	cfg.PhysRegs = 8
+	w, _ := workloads.ByName("crc32")
+	if _, err := RunConfig(context.Background(), w, cfg, 1_000); err == nil || !strings.Contains(err.Error(), "PhysRegs") {
+		t.Fatalf("RunConfig: err = %v, want one naming PhysRegs", err)
+	}
+
+	s := NewSuite(1_000)
+	_, first := s.ReplayConfig(context.Background(), "crc32", cfg, 0)
+	if first == nil || !strings.Contains(first.Error(), "PhysRegs") {
+		t.Fatalf("ReplayConfig: err = %v, want one naming PhysRegs", first)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	_, hit, _, again := s.ReplayCached(ctx, "crc32", cfg, 0)
+	if !hit || again == nil || again.Error() != first.Error() {
+		t.Fatalf("second call: hit=%v err=%v, want a hit on %v", hit, again, first)
+	}
+	if m := s.Metrics(); m.TraceMisses != 0 || m.LiveFallbacks != 0 {
+		t.Errorf("TraceMisses = %d, LiveFallbacks = %d; want 0 and 0", m.TraceMisses, m.LiveFallbacks)
+	}
+}
+
+// TestCoalescedWaiterHonoursOwnDeadline: a caller that finds its key in
+// flight waits under its own context. Its deadline ends the wait with
+// context.DeadlineExceeded, reported as coalesced, and it never takes
+// the leader's result.
+func TestCoalescedWaiterHonoursOwnDeadline(t *testing.T) {
+	s := NewSuite(10_000)
+	cfg := ooo.DefaultConfig(fusion.ModeHelios)
+	key := suiteKey{"crc32", cfg, 10_000}
+	// Lead the key's flight, as a cold replay does, and settle it only
+	// long after the waiter's deadline: a waiter that ignored its
+	// deadline would return this result.
+	if _, lead, _, _ := s.results.claim(context.Background(), key); !lead {
+		t.Fatal("the test's claim did not lead")
+	}
+	leader := &Result{Workload: "crc32", Mode: fusion.ModeHelios}
+	settle := time.AfterFunc(2*time.Second, func() { s.results.settle(key, leader, nil) })
+	defer settle.Stop()
+
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancel()
+	r, hit, coalesced, err := s.ReplayCached(ctx, "crc32", cfg, 0)
+	if !errors.Is(err, context.DeadlineExceeded) || !coalesced || hit || r != nil {
+		t.Fatalf("waiter: result=%v hit=%v coalesced=%v err=%v; want a coalesced DeadlineExceeded and no result", r != nil, hit, coalesced, err)
+	}
+}
+
+// TestRecordingHonoursContext: a cold recording emulates under its
+// caller's context, so a cancelled caller gets context.Canceled, and the
+// failure is not stored: a later call with a live context records.
+func TestRecordingHonoursContext(t *testing.T) {
+	s := NewSuite(10_000)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := s.Recording(ctx, "crc32"); !errors.Is(err, context.Canceled) {
+		t.Fatalf("recording under a cancelled context: err = %v, want context.Canceled", err)
+	}
+	rec, err := s.Recording(context.Background(), "crc32")
+	if err != nil || rec == nil || rec.Len() == 0 {
+		t.Fatalf("cancellation was stored: retry got (%v, %v)", rec, err)
 	}
 }

@@ -19,14 +19,13 @@ const (
 // Retired describes one architecturally committed instruction: everything
 // the timing model needs to know about it.
 type Retired struct {
-	Seq      uint64 // dynamic instruction number, starting at 0
-	PC       uint64
-	NextPC   uint64 // architectural successor (branch outcome applied)
-	Inst     isa.Inst
-	EA       uint64 // effective address for loads/stores
-	MemSize  uint8  // bytes accessed (0 for non-memory)
-	Taken    bool   // conditional branch outcome
-	StoreVal uint64 // value stored (stores only), for debugging
+	Seq     uint64 // dynamic instruction number, starting at 0
+	PC      uint64
+	NextPC  uint64 // architectural successor (branch outcome applied)
+	Inst    isa.Inst
+	EA      uint64 // effective address for loads/stores
+	MemSize uint8  // bytes accessed (0 for non-memory)
+	Taken   bool   // conditional branch outcome
 }
 
 // IsLoad reports whether the retired instruction is a load.
@@ -160,7 +159,7 @@ func (m *Machine) Step() (Retired, error) {
 		addr := rs1 + uint64(imm)
 		size := inst.Op.MemSize()
 		m.Mem.Write(addr, size, rs2)
-		r.EA, r.MemSize, r.StoreVal = addr, size, rs2
+		r.EA, r.MemSize = addr, size
 	case isa.OpADDI:
 		setReg(inst.Rd, rs1+uint64(imm))
 	case isa.OpSLTI:

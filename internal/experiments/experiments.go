@@ -131,13 +131,13 @@ func (h *Harness) Figure3(ctx context.Context) (*stats.Table, error) {
 }
 
 // analyzeTrace runs the oracle pair analysis over a workload's committed
-// stream, replaying the suite's shared recording rather than re-emulating.
+// stream, reading the suite's shared recording rather than re-emulating.
 func (h *Harness) analyzeTrace(ctx context.Context, name string, cfg fusion.PairConfig) (fusion.TraceStats, error) {
 	rec, err := h.Suite.Recording(ctx, name)
 	if err != nil {
 		return fusion.TraceStats{}, err
 	}
-	return fusion.AnalyzeTrace(rec.Replay(), cfg)
+	return fusion.AnalyzeTrace(rec, cfg), nil
 }
 
 // Figure4 classifies consecutive memory pairs by address relationship:

@@ -32,19 +32,15 @@ func (s *TraceStats) MeanDistance() float64 {
 	return float64(s.DistanceSum) / float64(s.PairsTotal())
 }
 
-// AnalyzeTrace scans a committed stream and computes fusion potential.
-// The source yields records in program order; if it ends on an emulation
-// fault, the error is returned alongside the stats gathered so far.
-func AnalyzeTrace(src trace.Source, cfg PairConfig) (TraceStats, error) {
-	var st TraceStats
+// AnalyzeTrace scans a recorded committed stream and computes its fusion
+// potential. A Recording is complete by construction, so there is no
+// error to report.
+func AnalyzeTrace(rec *trace.Recording, cfg PairConfig) TraceStats {
+	st := TraceStats{TotalUops: uint64(rec.Len())}
 	oracle := NewOracle(cfg)
-	for {
-		r, ok := src.Next()
-		if !ok {
-			break
-		}
-		st.TotalUops++
-		p, ok := oracle.Observe(r)
+	recs := rec.Records()
+	for i := range recs {
+		p, ok := oracle.Observe(recs[:i+1])
 		if !ok {
 			continue
 		}
@@ -65,5 +61,5 @@ func AnalyzeTrace(src trace.Source, cfg PairConfig) (TraceStats, error) {
 			st.NCSFAsymmetric++
 		}
 	}
-	return st, src.Err()
+	return st
 }

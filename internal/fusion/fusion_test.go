@@ -254,8 +254,23 @@ func TestCatalystPredicates(t *testing.T) {
 	}
 }
 
+// stream feeds an Oracle one record at a time, keeping the records
+// observed so far as the caller's copy of the stream.
+type stream struct {
+	o    *Oracle
+	recs []emu.Retired
+}
+
+func newStream(cfg PairConfig) *stream { return &stream{o: NewOracle(cfg)} }
+
+// Observe appends r to the stream and observes it as the new tail.
+func (s *stream) Observe(r emu.Retired) (Pairing, bool) {
+	s.recs = append(s.recs, r)
+	return s.o.Observe(s.recs)
+}
+
 func TestOracleConsecutivePair(t *testing.T) {
-	o := NewOracle(DefaultPairConfig())
+	o := newStream(DefaultPairConfig())
 	if _, ok := o.Observe(mem(0, isa.OpLD, 2, 1, 0x100)); ok {
 		t.Error("first load cannot pair")
 	}
@@ -272,7 +287,7 @@ func TestOracleConsecutivePair(t *testing.T) {
 }
 
 func TestOracleNonConsecutivePair(t *testing.T) {
-	o := NewOracle(DefaultPairConfig())
+	o := newStream(DefaultPairConfig())
 	o.Observe(mem(0, isa.OpLD, 2, 1, 0x100))
 	o.Observe(alu(1, 5, 6, 7))
 	o.Observe(alu(2, 8, 9, 10))
@@ -289,7 +304,7 @@ func TestOracleNonConsecutivePair(t *testing.T) {
 }
 
 func TestOracleRejectsDeadlock(t *testing.T) {
-	o := NewOracle(DefaultPairConfig())
+	o := newStream(DefaultPairConfig())
 	o.Observe(mem(0, isa.OpLD, 2, 1, 0x100))
 	o.Observe(alu(1, 3, 1, 0))                                 // x3 = f(x1): tainted
 	if _, ok := o.Observe(mem(2, isa.OpLD, 3, 4, 0x108)); ok { // base x3
@@ -298,14 +313,14 @@ func TestOracleRejectsDeadlock(t *testing.T) {
 }
 
 func TestOracleStoreRules(t *testing.T) {
-	o := NewOracle(DefaultPairConfig())
+	o := newStream(DefaultPairConfig())
 	o.Observe(mem(0, isa.OpSD, 2, 1, 0x100))
 	o.Observe(mem(1, isa.OpSD, 2, 5, 0x200)) // intervening store, too far to pair
 	if _, ok := o.Observe(mem(2, isa.OpSD, 2, 4, 0x108)); ok {
 		t.Error("store pair across another store must not fuse")
 	}
 
-	o = NewOracle(DefaultPairConfig())
+	o = newStream(DefaultPairConfig())
 	o.Observe(mem(0, isa.OpSD, 2, 1, 0x100))
 	o.Observe(alu(1, 5, 6, 7))
 	p, ok := o.Observe(mem(2, isa.OpSD, 2, 4, 0x108))
@@ -314,7 +329,7 @@ func TestOracleStoreRules(t *testing.T) {
 	}
 
 	// DBR stores never fuse.
-	o = NewOracle(DefaultPairConfig())
+	o = newStream(DefaultPairConfig())
 	o.Observe(mem(0, isa.OpSD, 2, 1, 0x100))
 	if _, ok := o.Observe(mem(1, isa.OpSD, 9, 4, 0x108)); ok {
 		t.Error("DBR store pair must not fuse")
@@ -322,7 +337,7 @@ func TestOracleStoreRules(t *testing.T) {
 }
 
 func TestOracleNoDoublePairing(t *testing.T) {
-	o := NewOracle(DefaultPairConfig())
+	o := newStream(DefaultPairConfig())
 	o.Observe(mem(0, isa.OpLD, 2, 1, 0x100))
 	if _, ok := o.Observe(mem(1, isa.OpLD, 2, 3, 0x108)); !ok {
 		t.Fatal("first pair missing")
@@ -341,7 +356,7 @@ func TestOracleNoDoublePairing(t *testing.T) {
 func TestOracleMaxDistance(t *testing.T) {
 	cfg := DefaultPairConfig()
 	cfg.MaxDist = 4
-	o := NewOracle(cfg)
+	o := newStream(cfg)
 	o.Observe(mem(0, isa.OpLD, 2, 1, 0x100))
 	for i := uint64(1); i <= 4; i++ {
 		o.Observe(alu(i, 5, 6, 7))
@@ -352,7 +367,7 @@ func TestOracleMaxDistance(t *testing.T) {
 }
 
 func TestOracleSerializingBlocks(t *testing.T) {
-	o := NewOracle(DefaultPairConfig())
+	o := newStream(DefaultPairConfig())
 	o.Observe(mem(0, isa.OpLD, 2, 1, 0x100))
 	o.Observe(emu.Retired{Seq: 1, Inst: isa.Inst{Op: isa.OpFENCE}})
 	if _, ok := o.Observe(mem(2, isa.OpLD, 2, 3, 0x108)); ok {
@@ -364,11 +379,42 @@ func TestOracleRestrictedConfigs(t *testing.T) {
 	// ConsecutiveOnly rejects distance-2 pairs.
 	cfg := DefaultPairConfig()
 	cfg.ConsecutiveOnly = true
-	o := NewOracle(cfg)
+	o := newStream(cfg)
 	o.Observe(mem(0, isa.OpLD, 2, 1, 0x100))
 	o.Observe(alu(1, 5, 6, 7))
 	if _, ok := o.Observe(mem(2, isa.OpLD, 2, 3, 0x108)); ok {
 		t.Error("ConsecutiveOnly violated")
+	}
+}
+
+// TestOracleResetFloor re-primes the oracle as a pipeline flush does:
+// re-observing a paired head clears its paired bit, and Reset(start)
+// keeps heads older than start out of reach.
+func TestOracleResetFloor(t *testing.T) {
+	recs := []emu.Retired{
+		mem(0, isa.OpLD, 2, 1, 0x100),
+		alu(1, 5, 6, 7),
+		mem(2, isa.OpLD, 2, 3, 0x108),
+	}
+	o := NewOracle(DefaultPairConfig())
+	o.Observe(recs[:1])
+	o.Observe(recs[:2])
+	if _, ok := o.Observe(recs); !ok {
+		t.Fatal("NCSF pair not found")
+	}
+
+	o.Reset(0) // a flush from seq 2, re-primed from seq 0
+	o.Observe(recs[:1])
+	o.Observe(recs[:2])
+	if _, ok := o.Observe(recs); !ok {
+		t.Error("a re-observed head kept its paired bit")
+	}
+
+	o = NewOracle(DefaultPairConfig())
+	o.Reset(1) // a flush from seq 2, re-primed from seq 1
+	o.Observe(recs[:2])
+	if p, ok := o.Observe(recs); ok {
+		t.Errorf("paired with a head below the floor: %+v", p)
 	}
 }
 
@@ -411,10 +457,7 @@ func TestAnalyzeTrace(t *testing.T) {
 		mem(5, isa.OpLD, 2, 11, 0x210),  // NCSF same line with 3
 		mem(6, isa.OpLD, 2, 12, 0x4000), // lone
 	}
-	st, err := AnalyzeTrace(trace.FromRecords("synthetic", 0, recs).Replay(), DefaultPairConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	st := AnalyzeTrace(trace.FromRecords("synthetic", 0, recs), DefaultPairConfig())
 
 	if st.TotalUops != 7 {
 		t.Errorf("TotalUops = %d, want 7", st.TotalUops)

@@ -26,10 +26,12 @@ func DefaultPairConfig() PairConfig {
 // stream: every memory µ-op is matched with the closest older unpaired
 // memory µ-op that forms an eligible pair. It implements the OracleFusion
 // configuration and is also the analysis engine behind Figures 4 and 5.
+// It holds no records, only a paired bit per seq and the floor Reset
+// sets: each Observe reads the caller's copy of the stream.
 type Oracle struct {
 	cfg    PairConfig
-	window []emu.Retired // the last cfg.MaxDist+1 records, oldest first
-	paired map[uint64]bool
+	paired []bool // ring indexed by seq % (MaxDist+1): a head is ≤ MaxDist back
+	floor  uint64 // no head older than this (Reset)
 }
 
 // NewOracle creates an oracle with the given eligibility rules.
@@ -40,59 +42,55 @@ func NewOracle(cfg PairConfig) *Oracle {
 	if cfg.MaxDist <= 0 {
 		cfg.MaxDist = 64
 	}
-	return &Oracle{cfg: cfg, paired: make(map[uint64]bool)}
+	return &Oracle{cfg: cfg, paired: make([]bool, cfg.MaxDist+1)}
 }
 
-// Observe consumes the next committed record in program order. If r (as a
-// tail nucleus) forms an eligible pair with an older unpaired µ-op, the
-// pairing is returned.
-func (o *Oracle) Observe(r emu.Retired) (Pairing, bool) {
-	// Maintain the sliding window.
-	o.window = append(o.window, r)
-	if len(o.window) > o.cfg.MaxDist+1 {
-		evicted := o.window[0]
-		o.window = o.window[1:]
-		delete(o.paired, evicted.Seq)
-	}
-	if r.MemSize == 0 || o.paired[r.Seq] {
+// Observe consumes the next committed record in program order, the last
+// of recs (the stream up to it, oldest first; every seq once, in order,
+// from a Reset's start). If it (as a tail nucleus) forms an eligible
+// pair with an older unpaired µ-op, the pairing is returned.
+func (o *Oracle) Observe(recs []emu.Retired) (Pairing, bool) {
+	tailIdx := len(recs) - 1
+	t := &recs[tailIdx]
+	// The tail's slot held the seq MaxDist+1 back, now out of reach.
+	o.paired[o.slot(t.Seq)] = false
+	if t.MemSize == 0 {
 		return Pairing{}, false
 	}
-
-	tailIdx := len(o.window) - 1
 	maxBack := o.cfg.MaxDist
 	if o.cfg.ConsecutiveOnly {
 		maxBack = 1
 	}
-	for back := 1; back <= maxBack && tailIdx-back >= 0; back++ {
-		if p, ok := o.tryPair(tailIdx-back, tailIdx); ok {
-			o.paired[p.HeadSeq] = true
-			o.paired[p.TailSeq] = true
+	for back := 1; back <= maxBack && tailIdx-back >= 0 && recs[tailIdx-back].Seq >= o.floor; back++ {
+		if p, ok := o.tryPair(recs[tailIdx-back:]); ok {
+			o.paired[o.slot(p.HeadSeq)] = true
+			o.paired[o.slot(p.TailSeq)] = true
 			return p, true
 		}
 	}
 	return Pairing{}, false
 }
 
-// tryPair applies the rulebook to the window records at headIdx and
-// tailIdx.
-func (o *Oracle) tryPair(headIdx, tailIdx int) (Pairing, bool) {
-	h, t := &o.window[headIdx], &o.window[tailIdx]
-	if !Eligible(h.Inst, t.Inst) || o.paired[h.Seq] {
+// slot returns seq's index in the paired ring.
+func (o *Oracle) slot(seq uint64) int { return int(seq % uint64(len(o.paired))) }
+
+// tryPair applies the rulebook to span's first record as the head and
+// its last as the tail.
+func (o *Oracle) tryPair(span []emu.Retired) (Pairing, bool) {
+	h, t := &span[0], &span[len(span)-1]
+	if !Eligible(h.Inst, t.Inst) || o.paired[o.slot(h.Seq)] {
 		return Pairing{}, false
 	}
 	p := Pair(h, t, o.cfg.LineSize)
 	if !p.Category.Fuseable() {
 		return Pairing{}, false
 	}
-	if _, unfuse := CheckCatalyst(o.window[headIdx : tailIdx+1]); unfuse {
+	if _, unfuse := CheckCatalyst(span); unfuse {
 		return Pairing{}, false
 	}
 	return p, true
 }
 
-// Reset clears the window (used on pipeline flushes when the oracle is
-// re-primed from the restart point).
-func (o *Oracle) Reset() {
-	o.window = o.window[:0]
-	o.paired = make(map[uint64]bool)
-}
+// Reset restarts pairing at seq start, leaving older heads out of reach
+// (used on pipeline flushes, when the oracle is re-primed from start).
+func (o *Oracle) Reset(start uint64) { o.floor = start }

@@ -482,7 +482,7 @@ func (w *lockWalker) recordAccess(sel *ast.SelectorExpr) {
 	if !ok || !field.IsField() || isMutexType(field.Type()) {
 		return
 	}
-	w.onAccess(field, sel.Sel.Pos(), w.anyHeld())
+	w.onAccess(field.Origin(), sel.Sel.Pos(), w.anyHeld())
 }
 
 // callEdges propagates lock-order edges through calls: calling, while
@@ -590,7 +590,7 @@ func mutexOpTargetIn(info *types.Info, call *ast.CallExpr, ops ...string) *types
 	if !ok || !field.IsField() || !isMutexType(field.Type()) {
 		return nil
 	}
-	return field
+	return field.Origin()
 }
 
 // isMutexType reports whether t is sync.Mutex or sync.RWMutex (or a
@@ -608,7 +608,8 @@ func isMutexType(t types.Type) bool {
 		(obj.Name() == "Mutex" || obj.Name() == "RWMutex")
 }
 
-// namedOfReceiver resolves the receiver's named struct type.
+// namedOfReceiver resolves the receiver's named struct type, by origin:
+// each method of a generic type instantiates it (and its fields) anew.
 func namedOfReceiver(info *types.Info, fd *ast.FuncDecl) *types.Named {
 	if fd.Recv == nil || len(fd.Recv.List) == 0 {
 		return nil
@@ -621,6 +622,9 @@ func namedOfReceiver(info *types.Info, fd *ast.FuncDecl) *types.Named {
 	if ptr, ok := t.(*types.Pointer); ok {
 		t = ptr.Elem()
 	}
-	named, _ := t.(*types.Named)
-	return named
+	named, ok := t.(*types.Named)
+	if !ok {
+		return nil
+	}
+	return named.Origin()
 }

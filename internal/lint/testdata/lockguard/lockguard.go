@@ -1,7 +1,8 @@
 // Package lockx seeds lockguard violations for the golden test: a
 // counter whose field is majority-accessed under its mutex (so the
-// guard set is inferred) with one racy reader, and a pair of methods
-// that acquire two mutexes in opposite orders.
+// guard set is inferred) with one racy reader, the same for a generic
+// cache, and a pair of methods that acquire two mutexes in opposite
+// orders.
 package lockx
 
 import "sync"
@@ -74,6 +75,31 @@ func (c *counter) bump() {
 }
 
 func (c *counter) peekHits() int { return c.hits } // ok: no inferred guard set
+
+// cache is generic, like the suite's singleflight memo: each method
+// declares its own receiver type parameters, and its accesses still
+// pool into one guard set.
+type cache[K comparable, V any] struct {
+	mu      sync.Mutex
+	entries map[K]V
+}
+
+func (c *cache[K, V]) put(k K, v V) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.entries[k] = v
+}
+
+func (c *cache[K, V]) get(k K) (V, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	v, ok := c.entries[k]
+	return v, ok
+}
+
+func (c *cache[K, V]) size() int {
+	return len(c.entries) // want "field cache.entries is guarded by cache.mu"
+}
 
 type twin struct {
 	mu1 sync.Mutex

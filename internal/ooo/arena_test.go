@@ -104,8 +104,8 @@ func TestUopSize(t *testing.T) {
 	if unsafe.Sizeof(uintptr(0)) != 8 {
 		t.Skip("layout pinned for 64-bit targets")
 	}
-	if got := unsafe.Sizeof(pUop{}); got != 368 {
-		t.Errorf("unsafe.Sizeof(pUop{}) = %d, pinned 368", got)
+	if got := unsafe.Sizeof(pUop{}); got != 336 {
+		t.Errorf("unsafe.Sizeof(pUop{}) = %d, pinned 336", got)
 	}
 }
 
@@ -116,7 +116,7 @@ func TestUopSize(t *testing.T) {
 func TestArenaRecycle(t *testing.T) {
 	var a uopArena
 	u := a.alloc()
-	u.seq = 42
+	u.r.Seq = 42
 	gen := u.gen
 	a.release(u)
 
@@ -127,8 +127,8 @@ func TestArenaRecycle(t *testing.T) {
 	if u2.gen != gen+1 {
 		t.Errorf("recycled gen = %d, want %d", u2.gen, gen+1)
 	}
-	if u2.seq != 0 || u2.pooled {
-		t.Errorf("recycled µ-op not reset: seq=%d pooled=%v", u2.seq, u2.pooled)
+	if u2.r.Seq != 0 || u2.pooled {
+		t.Errorf("recycled µ-op not reset: seq=%d pooled=%v", u2.r.Seq, u2.pooled)
 	}
 	for _, p := range u2.srcPhys {
 		if p != invalidReg {

@@ -32,7 +32,7 @@ func (p *Pipeline) commitStage() {
 		p.commitWrites(u)
 		p.accountCommit(u)
 		p.trainHelios(u)
-		p.pruneWindow(u.seq)
+		p.pruneWindow(u.r.Seq)
 		if !u.isStore() {
 			// Commit is a non-store µ-op's last pipeline reference (any
 			// stale waiter or event-wheel entry is generation-checked);
@@ -48,7 +48,7 @@ func (p *Pipeline) extendedGroupComplete(head *pUop) bool {
 	tailSeq := head.tail.Seq
 	for i := 1; i < p.rob.len(); i++ {
 		e := p.rob.at(i)
-		if e.seq > tailSeq {
+		if e.r.Seq > tailSeq {
 			break
 		}
 		if e.st != stCompleted {
@@ -70,7 +70,7 @@ func (p *Pipeline) commitWrites(u *pUop) {
 			continue
 		}
 		arch := u.dstArch[i]
-		seqW := int64(u.seq)
+		seqW := int64(u.r.Seq)
 		if i > 0 {
 			seqW = int64(u.tail.Seq) // only a fused µ-op has a second dest
 		}
@@ -110,7 +110,7 @@ func (p *Pipeline) freePhys(preg int32) {
 
 // accountCommit updates the statistics for one retiring µ-op.
 func (p *Pipeline) accountCommit(u *pUop) {
-	p.recentCommits[p.recentCount%uint64(len(p.recentCommits))] = u.seq
+	p.recentCommits[p.recentCount%uint64(len(p.recentCommits))] = u.r.Seq
 	p.recentCount++
 	p.st.CommittedUops++
 	p.st.CommittedInsts += u.archInstCount()
@@ -185,13 +185,13 @@ func (p *Pipeline) trainHelios(u *pUop) {
 	case fusedPair:
 		// Fused loads are not eligible for further fusion: not inserted.
 	case u.isStore():
-		if d, found := p.uch.ObserveStore(u.r.EA/lineSize, u.seq); found {
+		if d, found := p.uch.ObserveStore(u.r.EA/lineSize, u.r.Seq); found {
 			p.st.UCHMatches++
 			p.fp.Train(u.r.PC, u.ghr, d)
 			p.st.FPTrainings++
 		}
 	case u.isLoad() && (u.kind == uop.FuseNone || u.unfused):
-		if d, found := p.uch.ObserveLoad(u.r.EA/lineSize, u.seq); found {
+		if d, found := p.uch.ObserveLoad(u.r.EA/lineSize, u.r.Seq); found {
 			p.st.UCHMatches++
 			p.fp.Train(u.r.PC, u.ghr, d)
 			p.st.FPTrainings++

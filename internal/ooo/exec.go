@@ -69,7 +69,7 @@ func (p *Pipeline) resolveStoreAddresses() {
 		lo, span := p.combinedRange(s)
 		s.memLo, s.memSpan = lo, span
 		s.addrKnown = true
-		p.storeSets.CompleteStore(s.r.PC, s.seq)
+		p.storeSets.CompleteStore(s.r.PC, s.r.Seq)
 		p.checkViolations(s)
 	}
 }
@@ -124,13 +124,13 @@ func (p *Pipeline) loadMayIssue(u *pUop) bool {
 		maxSeq = lacc[0].seq
 	}
 	for _, s := range p.sq {
-		if s.seq >= maxSeq || s.drainedGone() || s.st == stKilled {
+		if s.r.Seq >= maxSeq || s.drained || s.st == stKilled {
 			continue
 		}
 		sacc, sn := p.accesses(s)
 		for li := 0; li < ln; li++ {
 			la := lacc[li]
-			if s.seq >= la.seq {
+			if s.r.Seq >= la.seq {
 				continue // the whole store is younger than this access
 			}
 			if !s.addrKnown {
@@ -140,10 +140,10 @@ func (p *Pipeline) loadMayIssue(u *pUop) bool {
 				// the head's position, so racing an unresolved catalyst
 				// store would turn every such pair into a memory-order
 				// violation; the hardware waits for the address instead.
-				if u.waitStore && s.seq == u.waitStoreSeq {
+				if u.waitStore && s.r.Seq == u.waitStoreSeq {
 					return false
 				}
-				if li > 0 && s.seq > u.seq {
+				if li > 0 && s.r.Seq > u.r.Seq {
 					// Catalyst store with an unresolved address: wait, the
 					// tail access would otherwise race it.
 					return false
@@ -158,7 +158,7 @@ func (p *Pipeline) loadMayIssue(u *pUop) bool {
 				if !rangesOverlap(sa.lo, sa.span, la.lo, la.span) {
 					continue
 				}
-				if s.seq > u.seq {
+				if s.r.Seq > u.r.Seq {
 					// A catalyst store overlaps the tail access: fusing
 					// violated sequential semantics. Repair like case 7:
 					// unfuse in place and flush from the tail nucleus.
@@ -181,9 +181,6 @@ func (p *Pipeline) loadMayIssue(u *pUop) bool {
 	}
 	return true
 }
-
-// drainedGone reports whether the store has fully left the store buffer.
-func (u *pUop) drainedGone() bool { return u.drained }
 
 func rangesOverlap(lo1, span1, lo2, span2 uint64) bool {
 	return lo1 < lo2+span2 && lo2 < lo1+span1
@@ -212,7 +209,7 @@ type access struct {
 func (p *Pipeline) accesses(u *pUop) (out [2]access, n int) {
 	ea1, sz1, ea2, sz2, pair := u.memRecords()
 
-	out[0] = access{lo: ea1, span: uint64(sz1), seq: u.seq}
+	out[0] = access{lo: ea1, span: uint64(sz1), seq: u.r.Seq}
 	n = 1
 	if u.kind == uop.FuseIdiom {
 		out[0].seq = u.tail.Seq // the memory op is the idiom's tail
@@ -302,7 +299,7 @@ func (p *Pipeline) writebackStage() {
 			p.wakeup(preg)
 		}
 
-		if u.mispredicted && p.fetchStalled && p.fetchHeldBy == u.seq {
+		if u.mispredicted && p.fetchStalled && p.fetchHeldBy == u.r.Seq {
 			p.fetchResumeAt = p.cycle + uint64(p.cfg.RedirectPenalty)
 			p.st.MispredictResolveLat += p.cycle - u.decodedAt
 			p.st.MispredictAQLat += u.renamedAt - u.decodedAt
@@ -359,7 +356,7 @@ func (p *Pipeline) checkViolations(st *pUop) {
 					continue // the load access is older: no violation
 				}
 				if rangesOverlap(sa.lo, sa.span, la.lo, la.span) {
-					if offender == nil || l.seq < offender.seq {
+					if offender == nil || l.r.Seq < offender.r.Seq {
 						offender = l
 					}
 				}
@@ -373,7 +370,7 @@ func (p *Pipeline) checkViolations(st *pUop) {
 	p.storeSets.Violation(offender.r.PC, st.r.PC)
 	// Flush from the violating load and refetch (if the load is a fused
 	// µ-op the whole pair re-executes).
-	p.flushFrom(offender.seq)
+	p.flushFrom(offender.r.Seq)
 }
 
 // catalystConflict repairs a fused load pair whose tail access overlaps a

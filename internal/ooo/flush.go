@@ -26,7 +26,7 @@ func (p *Pipeline) flushFrom(from uint64) {
 	// Unfuse surviving fused µ-ops whose tail lies in the flushed region.
 	for i := 0; i < p.rob.len(); i++ {
 		u := p.rob.at(i)
-		if u.seq >= from {
+		if u.r.Seq >= from {
 			break
 		}
 		if u.kind != uop.FuseNone && !u.unfused && u.tail.Seq >= from {
@@ -36,13 +36,13 @@ func (p *Pipeline) flushFrom(from uint64) {
 
 	// Kill younger µ-ops in the AQ (they have no backend state yet).
 	// Killed µ-ops are collected and recycled only at the end of the
-	// flush: the queue filters below still inspect their st/seq fields,
-	// which a reset would wipe.
+	// flush: the queue filters below still inspect their st and r.Seq
+	// fields, which a reset would wipe.
 	var ghrRestore uint64
 	haveGhr := false
 	for p.aq.len() > 0 {
 		u := p.aq.back()
-		if u.seq < from {
+		if u.r.Seq < from {
 			break
 		}
 		u.st = stKilled
@@ -64,7 +64,7 @@ func (p *Pipeline) flushFrom(from uint64) {
 	// Kill younger ROB entries and collect their register allocations.
 	for p.rob.len() > 0 {
 		u := p.rob.back()
-		if u.seq < from {
+		if u.r.Seq < from {
 			break
 		}
 		p.rob.popBack()
@@ -99,7 +99,7 @@ func (p *Pipeline) flushFrom(from uint64) {
 			if u.dstPhys[d] < 0 {
 				continue
 			}
-			seqW := int64(u.seq)
+			seqW := int64(u.r.Seq)
 			if d > 0 {
 				seqW = int64(u.tail.Seq)
 			}
@@ -120,7 +120,7 @@ func (p *Pipeline) flushFrom(from uint64) {
 	// Pending NCSF bookkeeping: heads were either killed or unfused above.
 	live := p.pendingNCSF[:0]
 	for _, h := range p.pendingNCSF {
-		if h.st != stKilled && !h.unfused && h.seq < from {
+		if h.st != stKilled && !h.unfused && h.r.Seq < from {
 			live = append(live, h)
 		}
 	}
@@ -139,17 +139,14 @@ func (p *Pipeline) flushFrom(from uint64) {
 	// The pairings it finds there have tails before the flush point,
 	// which were applied (or dropped) when they were first fetched.
 	if p.oracle != nil {
-		p.oracle.Reset()
 		start := p.windowBase
-		if from > uint64(p.cfg.PairCfg.MaxDist+1) && from-uint64(p.cfg.PairCfg.MaxDist+1) > start {
-			start = from - uint64(p.cfg.PairCfg.MaxDist+1)
+		if reach := uint64(p.cfg.PairCfg.MaxDist + 1); from > reach && from-reach > start {
+			start = from - reach
 		}
+		p.oracle.Reset(start)
 		for s := start; s < from; s++ {
-			if r := p.record(s); r != nil {
-				p.oracle.Observe(*r)
-			}
+			p.oracle.Observe(p.window[:s-p.windowBase+1])
 		}
-		p.oracleFed = from
 	}
 
 	// Recycle the killed µ-ops: every queue filter above has run, so the
@@ -166,7 +163,7 @@ func (p *Pipeline) flushFrom(from uint64) {
 func filterLive(q []*pUop, from uint64) []*pUop {
 	n := 0
 	for _, u := range q {
-		if u.st != stKilled && u.seq < from {
+		if u.st != stKilled && u.r.Seq < from {
 			q[n] = u
 			n++
 		}

@@ -68,7 +68,7 @@ func (p *Pipeline) frontendStage() {
 		}
 
 		u := p.arena.alloc()
-		u.r, u.seq, u.ghr, u.st = *rec, rec.Seq, p.ghr.Bits(), stDecoded
+		u.r, u.ghr, u.st = *rec, p.ghr.Bits(), stDecoded
 		u.decodedAt = p.cycle
 		u.tdBucket = -1 // no dispatch slot claimed yet
 		p.nextFetch++
@@ -121,7 +121,7 @@ func (p *Pipeline) frontendStage() {
 			// Fetch cannot proceed past an unresolved misprediction.
 			p.fetchStalled = true
 			p.fetchResumeAt = ^uint64(0)
-			p.fetchHeldBy = u.seq
+			p.fetchHeldBy = u.r.Seq
 			break
 		}
 		if taken {
@@ -168,7 +168,7 @@ func (p *Pipeline) fuseConsecutive(group []*pUop) {
 			continue
 		}
 		if prev != nil && prev.kind == uop.FuseNone && prev.headUop == nil &&
-			prev.seq+1 == u.seq && !prev.r.Inst.Op.IsControlFlow() {
+			prev.r.Seq+1 == u.r.Seq && !prev.r.Inst.Op.IsControlFlow() {
 			if p.tryFusePair(prev, u) {
 				prev = nil // fused µ-op cannot immediately fuse again
 				continue
@@ -218,7 +218,7 @@ func (p *Pipeline) markPredictedPairs(group []*pUop) {
 		if !ok || !pred.Confident || pred.Distance < 1 {
 			continue
 		}
-		head := p.findFusionHead(u.seq-uint64(pred.Distance), group)
+		head := p.findFusionHead(u.r.Seq-uint64(pred.Distance), group)
 		if head == nil || !p.headEligible(head, u) {
 			continue
 		}
@@ -229,16 +229,12 @@ func (p *Pipeline) markPredictedPairs(group []*pUop) {
 
 // markOraclePairs feeds the oracle every µ-op exactly once, in decode
 // order (tail nucleii killed by idiom fusion still feed it), and applies
-// each pairing as the oracle finds it. Observe reads only the records
-// and applying a pairing touches no oracle state, so this order gives
-// the same pairs as observing the whole group first.
+// each pairing as the oracle finds it. The oracle reads the window up to
+// each µ-op's record; applying a pairing touches no oracle state, so
+// this order gives the same pairs as observing the whole group first.
 func (p *Pipeline) markOraclePairs(group []*pUop) {
 	for _, u := range group {
-		if u.seq != p.oracleFed {
-			continue
-		}
-		p.oracleFed++
-		pairing, ok := p.oracle.Observe(u.r)
+		pairing, ok := p.oracle.Observe(p.window[:u.r.Seq-p.windowBase+1])
 		if !ok || u.st == stKilled || u.kind != uop.FuseNone || u.headUop != nil {
 			continue
 		}
@@ -260,12 +256,12 @@ func (p *Pipeline) markOraclePairs(group []*pUop) {
 // current decode group, returning nil if it already left for Rename.
 func (p *Pipeline) findFusionHead(seq uint64, group []*pUop) *pUop {
 	for _, u := range group {
-		if u.seq == seq {
+		if u.r.Seq == seq {
 			return u
 		}
 	}
 	for i := 0; i < p.aq.len(); i++ {
-		if u := p.aq.at(i); u.seq == seq {
+		if u := p.aq.at(i); u.r.Seq == seq {
 			return u
 		}
 	}

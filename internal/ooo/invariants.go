@@ -59,24 +59,24 @@ func (p *Pipeline) CheckInvariants() error {
 	var prev uint64
 	for i := 0; i < p.rob.len(); i++ {
 		u := p.rob.at(i)
-		if i > 0 && u.seq <= prev {
-			return fmt.Errorf("ROB out of order at %d: %d after %d", i, u.seq, prev)
+		if i > 0 && u.r.Seq <= prev {
+			return fmt.Errorf("ROB out of order at %d: %d after %d", i, u.r.Seq, prev)
 		}
-		prev = u.seq
+		prev = u.r.Seq
 		if u.st == stKilled || u.st == stCommitted {
-			return fmt.Errorf("ROB holds dead µ-op seq=%d st=%d", u.seq, u.st)
+			return fmt.Errorf("ROB holds dead µ-op seq=%d st=%d", u.r.Seq, u.st)
 		}
-		if u.kind != uop.FuseNone && u.tail.Seq <= u.seq {
+		if u.kind != uop.FuseNone && u.tail.Seq <= u.r.Seq {
 			return fmt.Errorf("fused µ-op seq=%d has no tail record younger than it (tail seq=%d)",
-				u.seq, u.tail.Seq)
+				u.r.Seq, u.tail.Seq)
 		}
 		if u.pendSrcs < 0 || u.pendSrcs > u.numSrc {
-			return fmt.Errorf("seq=%d pendSrcs=%d of %d", u.seq, u.pendSrcs, u.numSrc)
+			return fmt.Errorf("seq=%d pendSrcs=%d of %d", u.r.Seq, u.pendSrcs, u.numSrc)
 		}
 		for s := 0; s < int(u.numSrc); s++ {
 			r := u.srcPhys[s]
 			if r >= 0 && free[r] && u.st == stDispatched {
-				return fmt.Errorf("seq=%d reads freed register %d", u.seq, r)
+				return fmt.Errorf("seq=%d reads freed register %d", u.r.Seq, r)
 			}
 		}
 	}
@@ -88,10 +88,10 @@ func (p *Pipeline) CheckInvariants() error {
 	}{{"IQ", p.iq}, {"LQ", p.lq}, {"SQ", p.sq}} {
 		for _, u := range q.s {
 			if u.st == stKilled {
-				return fmt.Errorf("%s holds killed µ-op seq=%d", q.name, u.seq)
+				return fmt.Errorf("%s holds killed µ-op seq=%d", q.name, u.r.Seq)
 			}
 			if q.name != "SQ" && u.st == stCommitted {
-				return fmt.Errorf("%s holds committed µ-op seq=%d", q.name, u.seq)
+				return fmt.Errorf("%s holds committed µ-op seq=%d", q.name, u.r.Seq)
 			}
 		}
 	}
@@ -99,7 +99,7 @@ func (p *Pipeline) CheckInvariants() error {
 	// Pending NCSF heads must still be live and pending.
 	for _, h := range p.pendingNCSF {
 		if h.st == stKilled || !h.pending {
-			return fmt.Errorf("stale pending NCSF head seq=%d", h.seq)
+			return fmt.Errorf("stale pending NCSF head seq=%d", h.r.Seq)
 		}
 	}
 	if len(p.pendingNCSF) > p.cfg.MaxNCSFNest {

@@ -48,7 +48,7 @@ func TestCheckInvariantsCatchesCorruption(t *testing.T) {
 		want    string
 	}{
 		{"rob-over-capacity", func(p *Pipeline) {
-			p.rob.push(&pUop{seq: 1, st: stDispatched})
+			p.rob.push(&pUop{r: emu.Retired{Seq: 1}, st: stDispatched})
 			p.cfg.ROBSize = 0
 		}, "ROB occupancy"},
 		{"reg-free-and-mapped", func(p *Pipeline) {
@@ -64,20 +64,20 @@ func TestCheckInvariantsCatchesCorruption(t *testing.T) {
 			p.rat[3] = int32(p.cfg.PhysRegs)
 		}, "out of range"},
 		{"rob-out-of-order", func(p *Pipeline) {
-			p.rob.push(&pUop{seq: 5, st: stDispatched})
-			p.rob.push(&pUop{seq: 3, st: stDispatched})
+			p.rob.push(&pUop{r: emu.Retired{Seq: 5}, st: stDispatched})
+			p.rob.push(&pUop{r: emu.Retired{Seq: 3}, st: stDispatched})
 		}, "ROB out of order"},
 		{"rob-dead-uop", func(p *Pipeline) {
-			p.rob.push(&pUop{seq: 1, st: stKilled})
+			p.rob.push(&pUop{r: emu.Retired{Seq: 1}, st: stKilled})
 		}, "dead µ-op"},
 		{"dangling-fused-pair", func(p *Pipeline) {
-			p.rob.push(&pUop{seq: 1, st: stDispatched, kind: uop.FuseLoadPair})
+			p.rob.push(&pUop{r: emu.Retired{Seq: 1}, st: stDispatched, kind: uop.FuseLoadPair})
 		}, "has no tail record"},
 		{"bad-pend-srcs", func(p *Pipeline) {
-			p.rob.push(&pUop{seq: 1, st: stDispatched, pendSrcs: 5, numSrc: 1})
+			p.rob.push(&pUop{r: emu.Retired{Seq: 1}, st: stDispatched, pendSrcs: 5, numSrc: 1})
 		}, "pendSrcs"},
 		{"iq-killed-uop", func(p *Pipeline) {
-			p.iq = append(p.iq, &pUop{seq: 1, st: stKilled})
+			p.iq = append(p.iq, &pUop{r: emu.Retired{Seq: 1}, st: stKilled})
 		}, "IQ holds killed"},
 	}
 	for _, tc := range cases {

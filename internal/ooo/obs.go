@@ -20,7 +20,7 @@ import (
 //helios:hotalloc-ok obs-enabled path only, always behind a p.obs nil check; the disabled path is pinned alloc-free by TestCommitObsOffNoAllocs
 func (p *Pipeline) obsEmit(u *pUop, retired bool) {
 	ev := obs.Event{
-		Seq:          u.seq,
+		Seq:          u.r.Seq,
 		PC:           u.r.PC,
 		Disasm:       fmt.Sprint(u.r.Inst),
 		Fetch:        u.decodedAt,

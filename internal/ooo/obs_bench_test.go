@@ -72,7 +72,7 @@ func BenchmarkPipelineObsOn(b *testing.B) {
 // pin here and gives the reason in CHANGES.md. The root package's
 // TestExactLedger pins a real kernel under all six modes the same way.
 func TestExactLedgerObsOff(t *testing.T) {
-	const wantCycles, wantAllocs = 4524, 4328
+	const wantCycles, wantAllocs = 4524, 4327
 	rec := benchRecording(t)
 	var st *Stats
 	var err error
@@ -100,7 +100,7 @@ func TestCommitObsOffNoAllocs(t *testing.T) {
 	p := New(DefaultConfig(fusion.ModeNoFusion), trace.Func(func() (emu.Retired, bool) {
 		return emu.Retired{}, false
 	}))
-	u := &pUop{seq: 1, renamedAt: 5, issuedAt: 8, completeAt: 13}
+	u := &pUop{r: emu.Retired{Seq: 1}, renamedAt: 5, issuedAt: 8, completeAt: 13}
 	allocs := testing.AllocsPerRun(200, func() { p.accountCommit(u) })
 	if allocs != 0 {
 		t.Errorf("accountCommit with obs disabled allocated %.1f times per run, want 0", allocs)

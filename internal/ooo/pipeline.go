@@ -29,8 +29,6 @@ type Pipeline struct {
 	window     []emu.Retired // fetched records not yet committed
 	windowBase uint64        // seq of window[0]
 	nextFetch  uint64        // next seq to decode
-	srcNextSeq uint64        // expected seq of the next source record
-	srcStarted bool          // first record pulled (srcNextSeq valid)
 
 	// Frontend.
 	ghr           branch.History
@@ -82,8 +80,6 @@ type Pipeline struct {
 	uch       *helios.UCH
 	fp        *helios.FP
 	oracle    *fusion.Oracle
-
-	oracleFed uint64 // next seq the oracle expects
 
 	// Store buffer drain port state.
 	drainPortFree uint64
@@ -231,7 +227,7 @@ func (p *Pipeline) run(ctx context.Context, checkEvery uint64) (st *Stats, err e
 		// Chaos hook: force a flush from a random live µ-op. The flush
 		// machinery must preserve architectural results regardless.
 		if p.chaosRand != nil && p.cycle%p.cfg.ChaosFlushInterval == 0 && p.rob.len() > 0 {
-			p.flushFrom(p.rob.at(p.chaosRand.Intn(p.rob.len())).seq)
+			p.flushFrom(p.rob.at(p.chaosRand.Intn(p.rob.len())).r.Seq)
 			p.st.ChaosFlushes++
 		}
 
@@ -274,17 +270,7 @@ func describeUop(u *pUop) string {
 		return "<empty>"
 	}
 	return fmt.Sprintf("seq=%d %v st=%d kind=%v pending=%v pendSrcs=%d",
-		u.seq, u.r.Inst, u.st, u.kind, u.pending, u.pendSrcs)
-}
-
-// record returns the dynamic record for seq, which must be inside the
-// window.
-func (p *Pipeline) record(seq uint64) *emu.Retired {
-	idx := int(seq - p.windowBase)
-	if idx < 0 || idx >= len(p.window) {
-		return nil
-	}
-	return &p.window[idx]
+		u.r.Seq, u.r.Inst, u.st, u.kind, u.pending, u.pendSrcs)
 }
 
 // span returns records [from, to] inclusive, or nil if out of window.
@@ -321,7 +307,10 @@ func (p *Pipeline) fetchRecord(seq uint64) *emu.Retired {
 		}
 		p.window = append(p.window, r)
 	}
-	return p.record(seq)
+	if idx := int(seq - p.windowBase); idx >= 0 && idx < len(p.window) {
+		return &p.window[idx]
+	}
+	return nil
 }
 
 // validateRecord rejects records the pipeline cannot safely simulate:
@@ -329,8 +318,8 @@ func (p *Pipeline) fetchRecord(seq uint64) *emu.Retired {
 // field values that would index out of the machine's tables. This is the
 // trust boundary for hostile trace files and faulty sources.
 func (p *Pipeline) validateRecord(r emu.Retired) error {
-	if p.srcStarted && r.Seq != p.srcNextSeq {
-		return fmt.Errorf("record out of sequence: seq %d, want %d", r.Seq, p.srcNextSeq)
+	if want := p.windowBase + uint64(len(p.window)); len(p.window) > 0 && r.Seq != want {
+		return fmt.Errorf("record out of sequence: seq %d, want %d", r.Seq, want)
 	}
 	if int(r.Inst.Op) >= isa.NumOpcodes {
 		return fmt.Errorf("seq %d: opcode %d out of range", r.Seq, r.Inst.Op)
@@ -342,14 +331,13 @@ func (p *Pipeline) validateRecord(r emu.Retired) error {
 	if r.MemSize > 8 {
 		return fmt.Errorf("seq %d: impossible access size %d", r.Seq, r.MemSize)
 	}
-	p.srcStarted = true
-	p.srcNextSeq = r.Seq + 1
 	return nil
 }
 
 // pruneWindow drops records older than the oldest seq that can still be
-// needed (everything below the commit point, keeping MaxDist of history
-// for oracle re-priming after a flush).
+// needed (everything below the commit point, keeping MaxDist of history:
+// the oracle reads its look-back, and its re-prime after a flush, from
+// the window).
 func (p *Pipeline) pruneWindow(committedSeq uint64) {
 	keepFrom := committedSeq
 	slack := uint64(p.cfg.PairCfg.MaxDist + 2)

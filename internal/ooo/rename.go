@@ -143,7 +143,7 @@ func (p *Pipeline) processTailNucleus(u *pUop, slots int) (int, stats.TDBucket, 
 		return slots, 0, false
 	}
 
-	if reason, unfuse := fusion.CheckCatalyst(p.span(head.seq, u.seq)); unfuse {
+	if reason, unfuse := fusion.CheckCatalyst(p.span(head.r.Seq, u.r.Seq)); unfuse {
 		p.rejectPair(head, reason)
 		// The tail becomes an ordinary µ-op; the fix-up consumed a slot.
 		u.headUop = nil
@@ -412,6 +412,6 @@ func (p *Pipeline) dispatchUop(u *pUop) {
 	}
 	if u.isStore() {
 		p.sq = append(p.sq, u)
-		p.storeSets.DispatchStore(u.r.PC, u.seq)
+		p.storeSets.DispatchStore(u.r.PC, u.r.Seq)
 	}
 }

@@ -27,9 +27,8 @@ const invalidReg = int32(-1)
 // record in tail. µ-ops are recycled through the uopArena; gen/pooled
 // are the recycling bookkeeping and survive reset.
 type pUop struct {
-	r   emu.Retired
-	seq uint64 // == r.Seq; unique per dynamic instruction
-	ghr uint64 // global branch history at decode (before own outcome)
+	r   emu.Retired // r.Seq is unique per dynamic instruction
+	ghr uint64      // global branch history at decode (before own outcome)
 	st  stage
 
 	// Arena bookkeeping: gen increments on every recycle so stale waiter
@@ -75,7 +74,6 @@ type pUop struct {
 	mispredicted bool
 
 	// Memory state.
-	inLQ, inSQ   bool
 	addrKnown    bool   // execute reached: EA(s) valid
 	memLo        uint64 // combined range start
 	memSpan      uint64

@@ -179,9 +179,10 @@ func TestRunCustomConfig(t *testing.T) {
 }
 
 // TestHostileRequests drives the input-validation taxonomy: malformed
-// JSON, trailing garbage, unknown fields, unknown workload/mode, an
-// oversized body and a conflicting mode/config pair — every one a typed
-// 4xx, never a 500.
+// JSON, trailing garbage, unknown fields, unknown workload/mode and an
+// oversized body on /v1/run, and bad query parameters on the GET
+// endpoints (and /tracez with telemetry off) — every one a typed 4xx
+// with a JSON error body, never a 500 or plain text.
 func TestHostileRequests(t *testing.T) {
 	cfg := testConfig()
 	cfg.MaxBodyBytes = 4 << 10
@@ -189,21 +190,32 @@ func TestHostileRequests(t *testing.T) {
 
 	cases := []struct {
 		name   string
+		method string
+		path   string
 		body   string
 		status int
 		kind   ErrKind
 	}{
-		{"malformed", `{"workload": crc32}`, 400, ErrBadRequest},
-		{"trailing", `{"workload":"crc32"} garbage`, 400, ErrBadRequest},
-		{"unknown-field", `{"workload":"crc32","wat":1}`, 400, ErrBadRequest},
-		{"unknown-workload", `{"workload":"nope"}`, 400, ErrBadRequest},
-		{"unknown-mode", `{"workload":"crc32","mode":"Turbo"}`, 400, ErrBadRequest},
-		{"oversized", `{"workload":"` + strings.Repeat("a", 8<<10) + `"}`, 413, ErrOversized},
-		{"empty", ``, 400, ErrBadRequest},
+		{"malformed", "POST", "/v1/run", `{"workload": crc32}`, 400, ErrBadRequest},
+		{"trailing", "POST", "/v1/run", `{"workload":"crc32"} garbage`, 400, ErrBadRequest},
+		{"unknown-field", "POST", "/v1/run", `{"workload":"crc32","wat":1}`, 400, ErrBadRequest},
+		{"unknown-workload", "POST", "/v1/run", `{"workload":"nope"}`, 400, ErrBadRequest},
+		{"unknown-mode", "POST", "/v1/run", `{"workload":"crc32","mode":"Turbo"}`, 400, ErrBadRequest},
+		{"oversized", "POST", "/v1/run", `{"workload":"` + strings.Repeat("a", 8<<10) + `"}`, 413, ErrOversized},
+		{"empty", "POST", "/v1/run", ``, 400, ErrBadRequest},
+		{"tracez-telemetry-off", "GET", "/tracez", ``, 400, ErrBadRequest},
+		{"requests-bad-after", "GET", "/debugz/requests?after=x", ``, 400, ErrBadRequest},
+		{"requests-negative-limit", "GET", "/debugz/requests?limit=-1", ``, 400, ErrBadRequest},
+		{"requests-bad-min-ms", "GET", "/debugz/requests?min_ms=x", ``, 400, ErrBadRequest},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			resp, err := http.Post(ts.URL+"/v1/run", "application/json", strings.NewReader(tc.body))
+			req, err := http.NewRequest(tc.method, ts.URL+tc.path, strings.NewReader(tc.body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			req.Header.Set("Content-Type", "application/json")
+			resp, err := http.DefaultClient.Do(req)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -15,21 +15,22 @@ import (
 // Binary trace file format, gzip-framed. Inside the gzip stream:
 //
 //	magic   [4]byte  "HTRC"
-//	version uint16   (little endian, currently 1)
+//	version uint16   (little endian, currently 2)
 //	namelen uint16   + namelen bytes of workload name (UTF-8)
 //	bound   uint64   the MaxInsts the recording was captured with
 //	count   uint64   number of records
-//	count × 55-byte records (see encodeRecord)
+//	count × 47-byte records (see encodeRecord)
 //
 // gzip's trailing CRC over the uncompressed payload catches mid-stream
 // corruption; the magic/version header catches wrong or stale files.
 
 var fileMagic = [4]byte{'H', 'T', 'R', 'C'}
 
-// FileVersion is the current trace file format version.
-const FileVersion = 1
+// FileVersion is the current trace file format version; ReadFrom
+// rejects every other.
+const FileVersion = 2
 
-const recordSize = 55
+const recordSize = 47
 
 // Hostile-header bounds: a trace header must stay within these before a
 // single byte of it is trusted for allocation. Real workload names are a
@@ -74,7 +75,6 @@ func encodeRecord(buf *[recordSize]byte, r emu.Retired) {
 		flags |= flagTaken
 	}
 	buf[46] = flags
-	le.PutUint64(buf[47:], r.StoreVal)
 }
 
 func decodeRecord(buf *[recordSize]byte) emu.Retired {
@@ -90,10 +90,9 @@ func decodeRecord(buf *[recordSize]byte) emu.Retired {
 			Rs2: isa.Reg(buf[28]),
 			Imm: int64(le.Uint64(buf[29:])),
 		},
-		EA:       le.Uint64(buf[37:]),
-		MemSize:  buf[45],
-		Taken:    buf[46]&flagTaken != 0,
-		StoreVal: le.Uint64(buf[47:]),
+		EA:      le.Uint64(buf[37:]),
+		MemSize: buf[45],
+		Taken:   buf[46]&flagTaken != 0,
 	}
 }
 

@@ -44,6 +44,10 @@ func (r *Recording) Len() int { return len(r.recs) }
 // At returns the i-th recorded µ-op.
 func (r *Recording) At(i int) emu.Retired { return r.recs[i] }
 
+// Records returns the recorded µ-ops in program order. The slice is the
+// recording's own storage: callers must not modify it.
+func (r *Recording) Records() []emu.Retired { return r.recs }
+
 // Replay returns a fresh O(1) cursor over the recording. Cursors are
 // independent; any number may be live at once.
 func (r *Recording) Replay() *Cursor { return &Cursor{rec: r} }

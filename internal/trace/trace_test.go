@@ -3,6 +3,7 @@ package trace_test
 import (
 	"bytes"
 	"compress/gzip"
+	"encoding/binary"
 	"strings"
 	"testing"
 
@@ -132,6 +133,16 @@ func TestReadFromErrors(t *testing.T) {
 		if _, err := trace.ReadFrom(gzipped([]byte{'H', 'T', 'R', 'C', 0xff, 0x7f, 0, 0})); err == nil ||
 			!strings.Contains(err.Error(), "version") {
 			t.Errorf("want bad-version error, got %v", err)
+		}
+	})
+	t.Run("version-1", func(t *testing.T) {
+		// Version 1 records were 55 bytes: the header check must reject
+		// such a file rather than misread its records.
+		payload := rawPayload(t, valid)
+		binary.LittleEndian.PutUint16(payload[4:], 1)
+		if _, err := trace.ReadFrom(gzipped(payload)); err == nil ||
+			!strings.Contains(err.Error(), "unsupported file version 1") {
+			t.Errorf("want version-1 rejection, got %v", err)
 		}
 	})
 	t.Run("truncated-header", func(t *testing.T) {

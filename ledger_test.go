@@ -34,7 +34,7 @@ func TestExactLedger(t *testing.T) {
 		{fusion.ModeCSFSBR, 12081, 4186},
 		{fusion.ModeRISCVFusionPP, 12081, 4186},
 		{fusion.ModeHelios, 11537, 5462},
-		{fusion.ModeOracle, 11524, 5748},
+		{fusion.ModeOracle, 11524, 5490},
 	}
 	for _, p := range pins {
 		var st *ooo.Stats
