@@ -40,6 +40,7 @@ soak:
 fuzz-short:
 	$(GO) test -fuzz=FuzzReadFrom -fuzztime=30s ./internal/trace
 	$(GO) test -fuzz=FuzzPipelineModesAgree -fuzztime=30s ./internal/ooo
+	$(GO) test -fuzz=FuzzEventEncoding -fuzztime=30s ./internal/obs
 
 # CI's test job runs this target: one figure at a tiny budget plus the
 # deterministic record/replay counters.

@@ -18,6 +18,7 @@
 package main
 
 import (
+	"bufio"
 	"context"
 	"errors"
 	"flag"
@@ -51,7 +52,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	var (
 		workload = fs.String("workload", "crc32", "workload name (see -list)")
 		mode     = fs.String("mode", "Helios", "fusion configuration: "+modeNames())
-		insts    = fs.Uint64("insts", 0, "instruction budget (0 = workload default, or the whole -trace-in file)")
+		insts    = fs.Uint64("insts", 0, "instruction budget (0 = workload default, or the -trace-in capture's bound)")
 		list     = fs.Bool("list", false, "list workloads and exit")
 		compare  = fs.Bool("compare", false, "run every fusion configuration and compare IPC")
 		traceIn  = fs.String("trace-in", "", "simulate a stream recorded by rvemu -trace-out instead of emulating")
@@ -86,7 +87,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		if err != nil {
 			return fail(stderr, err)
 		}
-		defer closeOut(f, &code, stderr)
+		defer closeOut(f.Close, &code, stderr)
 		if err := pprof.StartCPUProfile(f); err != nil {
 			return fail(stderr, err)
 		}
@@ -126,7 +127,12 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		if err != nil {
 			return fail(stderr, err)
 		}
+		// Without -insts, replay to the capture's bound, as a live run
+		// stops at its budget.
 		name, budget = rec.Name, *insts
+		if budget == 0 {
+			budget = rec.MaxInsts
+		}
 		fmt.Fprintf(stdout, "loaded trace: %s (%d µ-ops, budget %d)\n\n", rec.Name, rec.Len(), rec.MaxInsts)
 	} else {
 		var ok bool
@@ -173,8 +179,12 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 			if err != nil {
 				return fail(stderr, err)
 			}
-			defer closeOut(f, &code, stderr)
-			*out.w = f
+			defer closeOut(f.Close, &code, stderr)
+			// Buffered, so an event costs a copy, not a write(2). The
+			// flush is deferred after the Close, so it runs first.
+			bw := bufio.NewWriterSize(f, 64<<10)
+			defer closeOut(bw.Flush, &code, stderr)
+			*out.w = bw
 		}
 		cfg.Obs = ob
 	}
@@ -218,10 +228,10 @@ func fail(stderr io.Writer, err error) int {
 	return 1
 }
 
-// closeOut closes an output file when run returns; a close error fails
-// a run that had otherwise succeeded.
-func closeOut(f *os.File, code *int, stderr io.Writer) {
-	if err := f.Close(); err != nil && *code == 0 {
+// closeOut flushes or closes an output (done is its Flush or Close)
+// when run returns; an error fails a run that had otherwise succeeded.
+func closeOut(done func() error, code *int, stderr io.Writer) {
+	if err := done(); err != nil && *code == 0 {
 		*code = fail(stderr, err)
 	}
 }

@@ -94,7 +94,8 @@ func ipcOf(t *testing.T, table, mode string) string {
 // TestTraceInHonoursBudget replays the first 5,000 instructions of a
 // 20,000-instruction capture. The single run must commit exactly the
 // budget and match a live run at that budget byte for byte; -compare
-// must replay the same 5,000.
+// must replay the same 5,000. Without -insts the replay stops at the
+// capture's bound and matches a live run at 20,000.
 func TestTraceInHonoursBudget(t *testing.T) {
 	w, _ := workloads.ByName("crc32")
 	rec, err := w.Record(20_000)
@@ -113,17 +114,25 @@ func TestTraceInHonoursBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	code, replayed, stderr := runSim(t, "-trace-in", path, "-insts", "5000")
-	if code != 0 {
-		t.Fatalf("exit %d: %s", code, stderr)
+	// replayMatchesLive replays the capture with extra flags and wants
+	// the live run at insts instructions, byte for byte.
+	replayMatchesLive := func(insts string, extra ...string) string {
+		t.Helper()
+		code, replayed, stderr := runSim(t, append([]string{"-trace-in", path}, extra...)...)
+		if code != 0 {
+			t.Fatalf("exit %d: %s", code, stderr)
+		}
+		if !strings.Contains(replayed, "instructions:       "+insts+" (") {
+			t.Errorf("replay did not commit exactly %s instructions:\n%s", insts, replayed)
+		}
+		_, live, _ := runSim(t, "-workload", "crc32", "-insts", insts)
+		if _, report, _ := strings.Cut(replayed, "\n\n"); report != live {
+			t.Errorf("replay %v differs from the live run at %s\nreplay:\n%s\nlive:\n%s", extra, insts, report, live)
+		}
+		return live
 	}
-	if !strings.Contains(replayed, "instructions:       5000 (") {
-		t.Errorf("replay did not commit exactly 5000 instructions:\n%s", replayed)
-	}
-	_, live, _ := runSim(t, "-workload", "crc32", "-insts", "5000")
-	if _, report, _ := strings.Cut(replayed, "\n\n"); report != live {
-		t.Errorf("budgeted replay differs from the live run\nreplay:\n%s\nlive:\n%s", report, live)
-	}
+	replayMatchesLive("20000")
+	live := replayMatchesLive("5000", "-insts", "5000")
 
 	code, table, stderr := runSim(t, "-trace-in", path, "-insts", "5000", "-compare")
 	if code != 0 {

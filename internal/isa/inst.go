@@ -1,6 +1,6 @@
 package isa
 
-import "fmt"
+import "strconv"
 
 // Inst is one decoded RV64IM instruction.
 //
@@ -18,33 +18,52 @@ type Inst struct {
 // Valid reports whether the instruction holds a defined opcode.
 func (i Inst) Valid() bool { return i.Op != OpInvalid && int(i.Op) < NumOpcodes }
 
-// String renders the instruction in assembly syntax.
+// String renders the instruction in assembly syntax. It allocates only
+// the returned string. It appends with strconv, not fmt: the race
+// detector drops fmt's pooled printers at random, so the obs-on
+// allocation pin, which renders each PC once, would vary under -race.
 func (i Inst) String() string {
+	var buf [48]byte
+	b := append(buf[:0], i.Op.String()...)
+	reg := func(sep string, r Reg) { b = append(append(b, sep...), r.String()...) }
+	imm := func(sep string) { b = strconv.AppendInt(append(b, sep...), i.Imm, 10) }
 	switch i.Op {
 	case OpInvalid:
 		return "invalid"
 	case OpLUI, OpAUIPC:
-		return fmt.Sprintf("%s %s, 0x%x", i.Op, i.Rd, uint32(i.Imm)>>12)
+		reg(" ", i.Rd)
+		b = strconv.AppendUint(append(b, ", 0x"...), uint64(uint32(i.Imm)>>12), 16)
 	case OpJAL:
-		return fmt.Sprintf("%s %s, %d", i.Op, i.Rd, i.Imm)
-	case OpJALR:
-		return fmt.Sprintf("%s %s, %d(%s)", i.Op, i.Rd, i.Imm, i.Rs1)
+		reg(" ", i.Rd)
+		imm(", ")
+	case OpJALR, OpLB, OpLH, OpLW, OpLD, OpLBU, OpLHU, OpLWU:
+		reg(" ", i.Rd)
+		imm(", ")
+		reg("(", i.Rs1)
+		b = append(b, ')')
 	case OpBEQ, OpBNE, OpBLT, OpBGE, OpBLTU, OpBGEU:
-		return fmt.Sprintf("%s %s, %s, %d", i.Op, i.Rs1, i.Rs2, i.Imm)
-	case OpLB, OpLH, OpLW, OpLD, OpLBU, OpLHU, OpLWU:
-		return fmt.Sprintf("%s %s, %d(%s)", i.Op, i.Rd, i.Imm, i.Rs1)
+		reg(" ", i.Rs1)
+		reg(", ", i.Rs2)
+		imm(", ")
 	case OpSB, OpSH, OpSW, OpSD:
-		return fmt.Sprintf("%s %s, %d(%s)", i.Op, i.Rs2, i.Imm, i.Rs1)
+		reg(" ", i.Rs2)
+		imm(", ")
+		reg("(", i.Rs1)
+		b = append(b, ')')
 	case OpFENCE, OpECALL, OpEBREAK:
-		return i.Op.String()
+	default:
+		switch i.Op.Format() {
+		case FormatI:
+			reg(" ", i.Rd)
+			reg(", ", i.Rs1)
+			imm(", ")
+		case FormatR:
+			reg(" ", i.Rd)
+			reg(", ", i.Rs1)
+			reg(", ", i.Rs2)
+		}
 	}
-	switch i.Op.Format() {
-	case FormatI:
-		return fmt.Sprintf("%s %s, %s, %d", i.Op, i.Rd, i.Rs1, i.Imm)
-	case FormatR:
-		return fmt.Sprintf("%s %s, %s, %s", i.Op, i.Rd, i.Rs1, i.Rs2)
-	}
-	return i.Op.String()
+	return string(b)
 }
 
 // BranchTarget returns the control-flow target of a branch or jal

@@ -1,6 +1,7 @@
 package isa
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -113,6 +114,47 @@ func TestDecodeGarbageIsInvalid(t *testing.T) {
 	for _, w := range []uint32{0, 0xffffffff, 0x7f, 0x00000001} {
 		if got := Decode(w); got.Op != OpInvalid {
 			t.Errorf("Decode(%#08x) = %v, want invalid", w, got)
+		}
+	}
+}
+
+// TestInstString holds String to the fmt reference below for every
+// opcode, across register corners (x0, x31, an out-of-range register)
+// and immediates up to the int64 extremes.
+func TestInstString(t *testing.T) {
+	ref := func(i Inst) string {
+		switch i.Op {
+		case OpInvalid:
+			return "invalid"
+		case OpLUI, OpAUIPC:
+			return fmt.Sprintf("%s %s, 0x%x", i.Op, i.Rd, uint32(i.Imm)>>12)
+		case OpJAL:
+			return fmt.Sprintf("%s %s, %d", i.Op, i.Rd, i.Imm)
+		case OpJALR, OpLB, OpLH, OpLW, OpLD, OpLBU, OpLHU, OpLWU:
+			return fmt.Sprintf("%s %s, %d(%s)", i.Op, i.Rd, i.Imm, i.Rs1)
+		case OpBEQ, OpBNE, OpBLT, OpBGE, OpBLTU, OpBGEU:
+			return fmt.Sprintf("%s %s, %s, %d", i.Op, i.Rs1, i.Rs2, i.Imm)
+		case OpSB, OpSH, OpSW, OpSD:
+			return fmt.Sprintf("%s %s, %d(%s)", i.Op, i.Rs2, i.Imm, i.Rs1)
+		case OpFENCE, OpECALL, OpEBREAK:
+			return i.Op.String()
+		}
+		switch i.Op.Format() {
+		case FormatI:
+			return fmt.Sprintf("%s %s, %s, %d", i.Op, i.Rd, i.Rs1, i.Imm)
+		case FormatR:
+			return fmt.Sprintf("%s %s, %s, %s", i.Op, i.Rd, i.Rs1, i.Rs2)
+		}
+		return i.Op.String()
+	}
+	for op := Opcode(0); int(op) < NumOpcodes; op++ {
+		for _, regs := range [][3]Reg{{Zero, Zero, Zero}, {A0, SP, T6}, {T6, 40, RA}} {
+			for _, imm := range []int64{0, -1, 2047, -2048, 0x7ffff000, -1 << 63, 1<<63 - 1} {
+				i := Inst{Op: op, Rd: regs[0], Rs1: regs[1], Rs2: regs[2], Imm: imm}
+				if got, want := i.String(), ref(i); got != want {
+					t.Errorf("%+v: String() = %q, want %q", i, got, want)
+				}
+			}
 		}
 	}
 }

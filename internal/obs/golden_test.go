@@ -78,25 +78,31 @@ func observedRun(t *testing.T, rec *trace.Recording) (pipeview, events, metrics 
 	return pv.Bytes(), ev.Bytes(), m.Bytes()
 }
 
-// TestPipeViewGolden pins the O3PipeView export byte-for-byte. The
-// golden file is committed; `go test ./internal/obs -run Golden -update`
-// regenerates it after an intentional format or model change.
+// TestPipeViewGolden pins all three observer streams byte-for-byte:
+// the O3PipeView export, the NDJSON events and the interval CSV. The
+// golden files are committed; `go test ./internal/obs -run Golden
+// -update` regenerates them after an intentional format or model change.
 func TestPipeViewGolden(t *testing.T) {
-	got, _, _ := observedRun(t, goldenRecording(t))
-	path := filepath.Join("testdata", "pipeview.golden")
-	if *update {
-		if err := os.WriteFile(path, got, 0o644); err != nil {
-			t.Fatalf("update golden: %v", err)
+	pv, ev, m := observedRun(t, goldenRecording(t))
+	for _, g := range []struct {
+		file string
+		got  []byte
+	}{{"pipeview.golden", pv}, {"events.golden", ev}, {"interval.golden", m}} {
+		path := filepath.Join("testdata", g.file)
+		if *update {
+			if err := os.WriteFile(path, g.got, 0o644); err != nil {
+				t.Fatalf("update golden: %v", err)
+			}
 		}
-	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("read golden (run with -update to create): %v", err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Fatalf("O3PipeView output drifted from the golden file (%d vs %d bytes):\n%s\n"+
-			"re-run with -update if the change is intentional",
-			len(got), len(want), firstDiff(got, want))
+		want, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatalf("read golden (run with -update to create): %v", err)
+		}
+		if !bytes.Equal(g.got, want) {
+			t.Errorf("%s: output drifted from the golden file (%d vs %d bytes):\n%s\n"+
+				"re-run with -update if the change is intentional",
+				g.file, len(g.got), len(want), firstDiff(g.got, want))
+		}
 	}
 }
 

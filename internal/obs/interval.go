@@ -1,10 +1,6 @@
 package obs
 
-import (
-	"fmt"
-	"strconv"
-	"strings"
-)
+import "strconv"
 
 // IntervalStats is one cumulative snapshot of the engine counters the
 // interval sampler tracks. The pipeline fills it at each sample
@@ -50,25 +46,20 @@ type IntervalStats struct {
 	TDBackendMem    uint64
 }
 
-// intervalHeader must match Row's column order exactly.
-var intervalHeader = []string{
-	"cycle", "insts", "ipc_milli", "uops", "mem_pairs", "idioms",
-	"fp_predictions", "fp_mispredicts", "branches", "branch_mispredicts",
-	"mpki_milli", "btb_misses", "l1d_misses", "l2_misses", "llc_misses",
-	"flushes", "rob_occ", "iq_occ", "lq_occ", "sq_occ", "aq_occ",
-	"td_retiring", "td_fused_retiring", "td_frontend_lat", "td_frontend_bw",
-	"td_bad_spec", "td_backend_core", "td_backend_mem",
-}
+// intervalHeader is the CSV header line, in appendRow's column order.
+const intervalHeader = "cycle,insts,ipc_milli,uops,mem_pairs,idioms," +
+	"fp_predictions,fp_mispredicts,branches,branch_mispredicts," +
+	"mpki_milli,btb_misses,l1d_misses,l2_misses,llc_misses," +
+	"flushes,rob_occ,iq_occ,lq_occ,sq_occ,aq_occ," +
+	"td_retiring,td_fused_retiring,td_frontend_lat,td_frontend_bw," +
+	"td_bad_spec,td_backend_core,td_backend_mem\n"
 
-// Header returns the CSV column names, aligned with Row.
-func (s IntervalStats) Header() []string { return intervalHeader }
-
-// Row renders one CSV row of per-interval deltas against the previous
-// snapshot (the zero value for the first interval). Derived rates stay
-// integral: ipc_milli is retired instructions per kilocycle and
-// mpki_milli is branch mispredicts per million instructions, both
+// appendRow appends one CSV row of per-interval deltas against the
+// previous snapshot (the zero value for the first interval). Derived
+// rates stay integral: ipc_milli is retired instructions per kilocycle
+// and mpki_milli is branch mispredicts per million instructions, both
 // computed over this interval only.
-func (s IntervalStats) Row(prev IntervalStats) []string {
+func (s *IntervalStats) appendRow(b []byte, prev *IntervalStats) []byte {
 	dCycles := s.Cycle - prev.Cycle
 	dInsts := s.Insts - prev.Insts
 	var ipcMilli, mpkiMilli uint64
@@ -78,7 +69,7 @@ func (s IntervalStats) Row(prev IntervalStats) []string {
 	if dInsts > 0 {
 		mpkiMilli = (s.BranchMispredicts - prev.BranchMispredicts) * 1000000 / dInsts
 	}
-	cols := []uint64{
+	for _, v := range [...]uint64{
 		s.Cycle,
 		dInsts,
 		ipcMilli,
@@ -100,25 +91,25 @@ func (s IntervalStats) Row(prev IntervalStats) []string {
 		s.LQOcc,
 		s.SQOcc,
 		s.AQOcc,
-	}
-	out := make([]string, 0, len(intervalHeader))
-	for _, v := range cols {
-		out = append(out, fmt.Sprint(v))
+	} {
+		b = append(strconv.AppendUint(b, v, 10), ',')
 	}
 	// Top-down deltas are signed: reclassification (squash, unfuse) can
 	// shrink a cumulative bucket between samples, and an unsigned
 	// rendering would print the wrapped difference.
-	sd := func(cur, prev uint64) string { return strconv.FormatInt(int64(cur-prev), 10) }
-	out = append(out,
-		sd(s.TDRetiring, prev.TDRetiring),
-		sd(s.TDFusedRetiring, prev.TDFusedRetiring),
-		sd(s.TDFrontendLat, prev.TDFrontendLat),
-		sd(s.TDFrontendBW, prev.TDFrontendBW),
-		sd(s.TDBadSpec, prev.TDBadSpec),
-		sd(s.TDBackendCore, prev.TDBackendCore),
-		sd(s.TDBackendMem, prev.TDBackendMem),
-	)
-	return out
+	for _, d := range [...]uint64{
+		s.TDRetiring - prev.TDRetiring,
+		s.TDFusedRetiring - prev.TDFusedRetiring,
+		s.TDFrontendLat - prev.TDFrontendLat,
+		s.TDFrontendBW - prev.TDFrontendBW,
+		s.TDBadSpec - prev.TDBadSpec,
+		s.TDBackendCore - prev.TDBackendCore,
+		s.TDBackendMem - prev.TDBackendMem,
+	} {
+		b = append(strconv.AppendInt(b, int64(d), 10), ',')
+	}
+	b[len(b)-1] = '\n'
+	return b
 }
 
 // Sample ingests one cumulative snapshot and appends the interval CSV
@@ -130,15 +121,12 @@ func (o *Observer) Sample(s IntervalStats) {
 		return
 	}
 	if !o.wroteHeader {
-		if _, err := fmt.Fprintln(o.Metrics, strings.Join(intervalHeader, ",")); err != nil {
-			o.err = err
+		o.write(o.Metrics, append(o.buf[:0], intervalHeader...))
+		if o.err != nil {
 			return
 		}
 		o.wroteHeader = true
 	}
-	if _, err := fmt.Fprintln(o.Metrics, strings.Join(s.Row(o.prev), ",")); err != nil {
-		o.err = err
-		return
-	}
+	o.write(o.Metrics, s.appendRow(o.buf[:0], &o.prev))
 	o.prev = s
 }

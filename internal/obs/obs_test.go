@@ -2,12 +2,16 @@ package obs
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
+	"fmt"
 	"reflect"
 	"slices"
 	"strconv"
 	"strings"
 	"testing"
+
+	"helios/internal/isa"
 )
 
 func sampleEvent() *Event {
@@ -52,6 +56,40 @@ func TestPipeViewFormat(t *testing.T) {
 	}
 	if err := o.Err(); err != nil {
 		t.Fatalf("Err() = %v", err)
+	}
+
+	// The PC field is %08x: zero-padded to eight digits, wider PCs in full.
+	for _, tc := range []struct {
+		pc   uint64
+		want string
+	}{
+		{0, "O3PipeView:fetch:10:0x00000000:0:1:"},
+		{0x10, "O3PipeView:fetch:10:0x00000010:0:1:"},
+		{0x1_2345_6789, "O3PipeView:fetch:10:0x123456789:0:1:"},
+		{1<<64 - 1, "O3PipeView:fetch:10:0xffffffffffffffff:0:1:"},
+	} {
+		ev := sampleEvent()
+		ev.PC = tc.pc
+		if got := string(appendPipeView(nil, new(cycleMemo), ev, 1)); !strings.HasPrefix(got, tc.want) {
+			t.Errorf("pc %#x: record starts %q, want %q", tc.pc, got[:len(tc.want)], tc.want)
+		}
+	}
+}
+
+// TestDisasmPerPC: the observer renders each PC's instruction once, and
+// a PC that now holds a different instruction (code rewritten at run
+// time) renders again.
+func TestDisasmPerPC(t *testing.T) {
+	var o Observer
+	ld := isa.Inst{Op: isa.OpLD, Rd: isa.A0, Rs1: isa.A1, Imm: 8}
+	add := isa.Inst{Op: isa.OpADD, Rd: isa.A0, Rs1: isa.A1, Rs2: isa.A2}
+	for _, tc := range []struct {
+		pc   uint64
+		inst isa.Inst
+	}{{0x100, ld}, {0x100, ld}, {0x104, add}, {0x100, add}, {0x100, ld}} {
+		if got, want := o.Disasm(tc.pc, tc.inst), tc.inst.String(); got != want {
+			t.Errorf("Disasm(%#x, %v) = %q, want %q", tc.pc, tc.inst, got, want)
+		}
 	}
 }
 
@@ -137,7 +175,7 @@ func TestSampleDeltas(t *testing.T) {
 }
 
 // TestIntervalRowCarriesEveryField fills every IntervalStats field with
-// a distinct value and finds each one in Row's CSV against a zero
+// a distinct value and finds each one in the CSV row against a zero
 // previous snapshot, where every delta is the value itself: a field
 // added without a column fails here.
 func TestIntervalRowCarriesEveryField(t *testing.T) {
@@ -149,13 +187,14 @@ func TestIntervalRowCarriesEveryField(t *testing.T) {
 		}
 		v.Field(i).SetUint(uint64(1001 + i))
 	}
-	row := s.Row(IntervalStats{})
-	if len(row) != len(s.Header()) {
-		t.Fatalf("Row has %d columns, Header %d", len(row), len(s.Header()))
+	row := strings.Split(strings.TrimSuffix(string(s.appendRow(nil, &IntervalStats{})), "\n"), ",")
+	header := strings.Split(strings.TrimSuffix(intervalHeader, "\n"), ",")
+	if len(row) != len(header) {
+		t.Fatalf("row has %d columns, header %d", len(row), len(header))
 	}
 	for i := 0; i < v.NumField(); i++ {
 		if want := strconv.Itoa(1001 + i); !slices.Contains(row, want) {
-			t.Errorf("IntervalStats.%s = %s is missing from Row %v", v.Type().Field(i).Name, want, row)
+			t.Errorf("IntervalStats.%s = %s is missing from row %v", v.Type().Field(i).Name, want, row)
 		}
 	}
 }
@@ -182,4 +221,55 @@ func TestStickyError(t *testing.T) {
 	if w.n != n {
 		t.Errorf("observer kept writing after error: %d -> %d writes", n, w.n)
 	}
+}
+
+// FuzzEventEncoding holds both per-event renderers to their references:
+// the NDJSON line must be exactly json.Marshal(ev) plus a newline, and
+// the O3PipeView record exactly what fmt renders for gem5's format.
+func FuzzEventEncoding(f *testing.F) {
+	add := func(ev *Event) {
+		f.Add(ev.Seq, ev.PC, ev.Disasm, ev.Fetch, ev.Decode, ev.Rename, ev.Dispatch,
+			ev.Issue, ev.Complete, ev.Retire, ev.Squashed, ev.SquashCycle, ev.Mispredicted,
+			ev.Fused, ev.TailSeq, ev.TailPC, ev.PairDistance, ev.PairCategory, ev.Predicted, ev.Unfused)
+	}
+	add(&Event{}) // every optional field zero
+	add(&Event{Seq: 1<<64 - 1, PC: 1<<64 - 1, Disasm: "jal ra, -2048", Fetch: 1, Decode: 2,
+		Rename: 3, Dispatch: 4, Issue: 5, Complete: 6, Retire: 7,
+		Squashed: true, SquashCycle: 9, Mispredicted: true, Fused: "stp", TailSeq: 2,
+		TailPC: 1 << 40, PairDistance: -3, PairCategory: "nextline", Predicted: true, Unfused: true})
+	for _, s := range []string{
+		`"`, `\`, "<", ">", "&", "a<b>&c", "\x00\x01\x1f\x7f", "\b\f\n\r\t",
+		"é", "日本", "\u2028\u2029", "\xff", "ok\xc3", "\U0001F600",
+	} {
+		add(&Event{PC: 0x1_0000_0000, Disasm: s, Fused: s, PairCategory: s, PairDistance: 1})
+	}
+	f.Fuzz(func(t *testing.T, seq, pc uint64, disasm string,
+		fetch, decode, rename, dispatch, issue, complete, retire uint64,
+		squashed bool, squashCycle uint64, mispredicted bool, fused string,
+		tailSeq, tailPC uint64, pairDistance int, pairCategory string, predicted, unfused bool) {
+		ev := &Event{Seq: seq, PC: pc, Disasm: disasm,
+			Fetch: fetch, Decode: decode, Rename: rename, Dispatch: dispatch,
+			Issue: issue, Complete: complete, Retire: retire,
+			Squashed: squashed, SquashCycle: squashCycle, Mispredicted: mispredicted,
+			Fused: fused, TailSeq: tailSeq, TailPC: tailPC, PairDistance: pairDistance,
+			PairCategory: pairCategory, Predicted: predicted, Unfused: unfused}
+		want, err := json.Marshal(ev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantPV := fmt.Sprintf("O3PipeView:fetch:%d:0x%08x:0:%d:%s\n"+
+			"O3PipeView:decode:%d\nO3PipeView:rename:%d\nO3PipeView:dispatch:%d\n"+
+			"O3PipeView:issue:%d\nO3PipeView:complete:%d\nO3PipeView:retire:%d:store:0\n",
+			fetch, pc, seq, disasm, decode, rename, dispatch, issue, complete, retire)
+		// Twice on one memo: the first pass fills it, the second reads it.
+		var m cycleMemo
+		for pass := 0; pass < 2; pass++ {
+			if got := appendEvent(nil, &m, ev); string(got) != string(want)+"\n" {
+				t.Errorf("pass %d: NDJSON line\n got  %s\n want %s", pass, got, want)
+			}
+			if got := appendPipeView(nil, &m, ev, seq); string(got) != wantPV {
+				t.Errorf("pass %d: O3PipeView record\n got  %q\n want %q", pass, got, wantPV)
+			}
+		}
+	})
 }

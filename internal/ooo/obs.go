@@ -1,8 +1,6 @@
 package ooo
 
 import (
-	"fmt"
-
 	"helios/internal/obs"
 	"helios/internal/uop"
 )
@@ -10,7 +8,7 @@ import (
 // obsEmit builds the observability event for a retiring or squashed
 // µ-op and hands it to the observer. Only reached behind a p.obs nil
 // check, so the disabled hot path never sees the Event construction or
-// the disassembly allocation.
+// the disassembly lookup.
 //
 // Stage-cycle mapping: the model decodes in the cycle it fetches and
 // dispatches in the cycle it renames (AQ and ROB insertion are the
@@ -22,7 +20,7 @@ func (p *Pipeline) obsEmit(u *pUop, retired bool) {
 	ev := obs.Event{
 		Seq:          u.r.Seq,
 		PC:           u.r.PC,
-		Disasm:       fmt.Sprint(u.r.Inst),
+		Disasm:       p.obs.Disasm(u.r.PC, u.r.Inst),
 		Fetch:        u.decodedAt,
 		Decode:       u.decodedAt,
 		Rename:       u.renamedAt,

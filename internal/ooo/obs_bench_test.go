@@ -93,6 +93,33 @@ func TestExactLedgerObsOff(t *testing.T) {
 	}
 }
 
+// TestExactLedgerObsOn pins BenchmarkPipelineObsOn's allocations: the
+// same replay with every observer stream on, writing to io.Discard
+// with a 1,000-cycle interval, and a fresh Observer per replay, so each
+// run pays for its own render buffer and per-PC disassembly. Emission
+// costs a few appends per event, not allocations: the pin sits within
+// a few hundred of TestExactLedgerObsOff's.
+func TestExactLedgerObsOn(t *testing.T) {
+	const wantCycles, wantAllocs = 4524, 4355
+	rec := benchRecording(t)
+	var st *Stats
+	var err error
+	allocs := testing.AllocsPerRun(5, func() {
+		cfg := DefaultConfig(fusion.ModeHelios)
+		cfg.Obs = &obs.Observer{PipeView: io.Discard, Events: io.Discard, Metrics: io.Discard, SampleEvery: 1000}
+		st, err = New(cfg, rec.Replay()).Run()
+	})
+	if err != nil {
+		t.Fatalf("replay: %v", err)
+	}
+	if st.Cycles != wantCycles {
+		t.Errorf("cycles = %d, pinned %d", st.Cycles, wantCycles)
+	}
+	if allocs != wantAllocs {
+		t.Errorf("allocs/replay = %.0f, pinned %d", allocs, wantAllocs)
+	}
+}
+
 // TestCommitObsOffNoAllocs pins the disabled-path contract at the exact
 // hook site: with Obs nil, the per-retire accounting (counters plus the
 // three histograms plus the nil-checked event hook) allocates nothing.
